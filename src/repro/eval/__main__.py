@@ -24,6 +24,7 @@ from repro.eval.table1 import (
 from repro.eval.table2 import render_table2, run_table2
 from repro.eval.validation import render_validation, run_validation
 from repro.pim.config import PimConfig
+from repro.sim.modes import DEFAULT_SIM_MODE, add_sim_mode_argument
 
 EXPERIMENTS = (
     "table1", "table2", "figure5", "figure6",
@@ -65,13 +66,13 @@ def build_parser() -> argparse.ArgumentParser:
         "--edram-factor", type=int, default=4,
         help="eDRAM latency factor relative to cache (paper range 2-10)",
     )
-    parser.add_argument(
-        "--sim-mode", choices=("full", "steady", "columnar", "columnar-steady"), default=None,
-        help="discrete-event engine for simulation-backed experiments: "
-        "'steady' fingerprints the machine state and fast-forwards "
-        "converged rounds (default for validation), 'full' is the "
-        "event-by-event oracle; for latency/table2/sweeps the flag also "
-        "enables executor-measured columns",
+    add_sim_mode_argument(
+        parser,
+        default=None,
+        help="engine for simulation-backed experiments (validation and "
+        "randwired run the production engine when it is unset; for "
+        "latency/table2/sweeps setting it enables executor-measured "
+        "columns)",
     )
     parser.add_argument(
         "--search-budgets", type=int, nargs="*", metavar="N", default=None,
@@ -170,7 +171,7 @@ def main(argv: Optional[List[str]] = None) -> int:
     if "validation" in wants:
         kwargs = {"benchmarks": args.benchmarks} if args.benchmarks else {}
         sections.append(render_validation(run_validation(
-            config, sim_mode=args.sim_mode or "steady", **kwargs
+            config, sim_mode=args.sim_mode or DEFAULT_SIM_MODE, **kwargs
         )))
     if "energy" in wants:
         sections.append(render_energy(run_energy(config, benchmarks=args.benchmarks)))
@@ -235,7 +236,7 @@ def main(argv: Optional[List[str]] = None) -> int:
 
         bench = run_randwired_bench(
             config, benchmarks=args.benchmarks,
-            sim_mode=args.sim_mode or "steady",
+            sim_mode=args.sim_mode or DEFAULT_SIM_MODE,
         )
         sections.append(render_randwired(bench))
         target = dump_bench("BENCH_randwired.json", bench)

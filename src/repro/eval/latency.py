@@ -72,7 +72,7 @@ def run_latency(
 
     With ``sim_mode`` set the discrete-event executor also measures the
     realized makespan of ``sim_iterations`` Para-CONV iterations --
-    affordable even for long runs in ``steady`` mode.
+    affordable even for long runs in ``columnar_steady`` mode.
     """
     config = (base_config or PimConfig()).with_pes(pes)
     names = list(benchmarks) if benchmarks is not None else list(PAPER_BENCHMARKS)

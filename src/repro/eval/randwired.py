@@ -30,7 +30,7 @@ from repro.graph.analysis import critical_path_length
 from repro.graph.randwired import RANDWIRED_SPECS
 from repro.pim.config import PimConfig
 from repro.sim.executor import ScheduleExecutor
-from repro.sim.modes import SimMode
+from repro.sim.modes import DEFAULT_SIM_MODE, SimMode
 from repro.sim.sinks import NullSink
 
 __all__ = [
@@ -88,7 +88,7 @@ def run_randwired_bench(
     benchmarks: Optional[Sequence[str]] = None,
     iterations: int = 200,
     num_vaults: int = 32,
-    sim_mode: "SimMode | str" = SimMode.STEADY_STATE,
+    sim_mode: "SimMode | str" = DEFAULT_SIM_MODE,
 ) -> Dict[str, Any]:
     """Run the bench and return the ``BENCH_randwired/v1`` report dict."""
     config = config or PimConfig(num_pes=16)

@@ -20,7 +20,7 @@ from repro.eval.paper_data import PAPER_TABLE2
 from repro.eval.reporting import format_table
 from repro.pim.config import PAPER_PE_SWEEP, PimConfig
 from repro.sim.executor import ScheduleExecutor
-from repro.sim.modes import SimMode
+from repro.sim.modes import DEFAULT_SIM_MODE, SimMode
 from repro.sim.sinks import NullSink
 
 
@@ -105,7 +105,7 @@ def run_table2_realized(
     benchmarks: Optional[Sequence[str]] = None,
     pe_counts: Sequence[int] = PAPER_PE_SWEEP,
     iterations: int = 100,
-    sim_mode: Union[str, SimMode] = SimMode.STEADY_STATE,
+    sim_mode: Union[str, SimMode] = DEFAULT_SIM_MODE,
 ) -> List[RealizedPrologueRow]:
     """Cross-check Table 2's prologue accounting on the executor."""
     config = base_config or PimConfig()

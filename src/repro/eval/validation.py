@@ -17,7 +17,7 @@ from repro.core.paraconv import ParaConv
 from repro.eval.reporting import format_table
 from repro.pim.config import PimConfig
 from repro.sim.executor import ScheduleExecutor
-from repro.sim.modes import SimMode
+from repro.sim.modes import DEFAULT_SIM_MODE, SimMode
 from repro.sim.sinks import NullSink
 
 #: A representative subset (the default keeps quick runs quick; with the
@@ -55,13 +55,14 @@ def run_validation(
     pes: int = 32,
     iterations: int = 20,
     num_vaults: int = 32,
-    sim_mode: Union[str, SimMode] = SimMode.STEADY_STATE,
+    sim_mode: Union[str, SimMode] = DEFAULT_SIM_MODE,
 ) -> List[ValidationRow]:
     """Execute every benchmark's schedule and compare against the model.
 
-    ``sim_mode`` selects the engine: ``steady`` (default) fast-forwards
-    converged rounds, ``full`` is the event-by-event oracle. Aggregates
-    -- and hence every column here -- are identical between the two.
+    ``sim_mode`` selects the engine: ``columnar_steady`` (default, the
+    production engine) fast-forwards converged rounds, ``full`` is the
+    event-by-event oracle. Aggregates -- and hence every column here --
+    are identical across engines.
     """
     config = (base_config or PimConfig()).with_pes(pes)
     executor = ScheduleExecutor(

@@ -8,7 +8,9 @@ Usage::
 ``bench`` drives a deterministic synthetic trace through a sharded fleet
 (optionally killing a worker mid-run) and writes ``BENCH_fleet.json``
 with per-SLO-class latency percentiles, cache hit ratios and exact
-request accounting. Exits non-zero if any admitted request was lost.
+request accounting, plus the simulation engine the shards ran
+(``--sim-mode``, the production ``columnar_steady`` engine by default).
+Exits non-zero if any admitted request was lost.
 """
 
 from __future__ import annotations
@@ -23,6 +25,7 @@ from repro.cnn.workloads import WORKLOADS
 from repro.core.allocation import ALLOCATORS
 from repro.eval.bench_io import dump_bench
 from repro.pim.config import PimConfig
+from repro.sim.modes import DEFAULT_SIM_MODE, SimMode, add_sim_mode_argument
 
 from repro.fleet.hashing import HashRing
 from repro.fleet.loadgen import FleetLoadGenerator, run_bench
@@ -99,6 +102,7 @@ def build_parser() -> argparse.ArgumentParser:
         "--allocator", default="dp", choices=sorted(ALLOCATORS),
         help="cache-allocation strategy",
     )
+    add_sim_mode_argument(bench, help="engine every shard simulates on")
     bench.add_argument(
         "--seed", type=int, default=0, help="trace seed"
     )
@@ -161,6 +165,7 @@ def build_fleet(
     max_queue: int = 4096,
     allocator: str = "dp",
     policies=None,
+    sim_mode: "SimMode | str" = DEFAULT_SIM_MODE,
 ) -> FleetRouter:
     """A router over ``num_workers`` equal shards of one physical machine."""
     machine = PimConfig(num_pes=pes)
@@ -173,6 +178,7 @@ def build_fleet(
             batch_window=batch_window,
             max_queue=max_queue,
             allocator=allocator,
+            sim_mode=sim_mode,
         )
         for index, shard in enumerate(shards)
     ]
@@ -204,6 +210,7 @@ def cmd_bench(args: argparse.Namespace) -> int:
             max_queue=args.max_queue,
             allocator=args.allocator,
             policies=policies,
+            sim_mode=args.sim_mode,
         )
         kill_worker_id = (
             None if args.no_kill or args.workers < 2
@@ -224,6 +231,7 @@ def cmd_bench(args: argparse.Namespace) -> int:
     finally:
         if store_dir is not None:
             store_dir.cleanup()
+    report["sim_mode"] = args.sim_mode.value
 
     if args.out != "-":
         dump_bench(args.out, report)
@@ -234,7 +242,8 @@ def cmd_bench(args: argparse.Namespace) -> int:
         print(
             f"fleet bench: {report['num_requests']} requests over "
             f"{report['num_workers']} workers "
-            f"({report['live_workers']} live at end)"
+            f"({report['live_workers']} live at end, "
+            f"engine {report['sim_mode']})"
         )
         if report["kill_worker_id"] is not None:
             print(

@@ -36,7 +36,7 @@ from repro.runtime.server import (
     InferenceRequest,
     RequestResult,
 )
-from repro.sim.modes import SimMode
+from repro.sim.modes import DEFAULT_SIM_MODE, SimMode
 
 from repro.fleet.slo import SloClass, SloPolicy
 from repro.fleet.store import SharedPlanStore
@@ -105,7 +105,7 @@ class FleetWorker:
         batch_window: int = 8,
         max_queue: int = 4096,
         allocator: str = "dp",
-        sim_mode: "SimMode | str" = SimMode.STEADY_STATE,
+        sim_mode: "SimMode | str" = DEFAULT_SIM_MODE,
         clock: Optional[Callable[[], float]] = None,
         graph_loader: Optional[Callable[[str], TaskGraph]] = None,
     ):

@@ -27,6 +27,7 @@ from repro.runtime.plan_cache import PlanCache
 from repro.runtime.server import BatchingServer, QueueFullError
 from repro.runtime.session import FaultRetryExhausted
 from repro.runtime.workers import warm_cache
+from repro.sim.modes import add_sim_mode_argument
 
 if TYPE_CHECKING:  # pragma: no cover — annotation-only import
     from repro.pim.faults import FaultModel
@@ -85,11 +86,7 @@ def build_parser() -> argparse.ArgumentParser:
                        help="admission-queue bound (default 64)")
     bench.add_argument("--window", type=positive_int, default=8,
                        help="batching window (default 8)")
-    bench.add_argument("--sim-mode", choices=("full", "steady", "columnar", "columnar-steady"),
-                       default="steady",
-                       help="discrete-event engine: 'steady' fingerprints "
-                       "the machine and fast-forwards converged rounds "
-                       "(default), 'full' is the event-by-event oracle")
+    add_sim_mode_argument(bench)
     bench.add_argument("--fault-pe", type=int, metavar="ID", default=None,
                        help="inject a PE failure: this PE dies at the "
                        "--fault-at iteration boundary of every batch")
@@ -206,7 +203,7 @@ def cmd_bench(args: argparse.Namespace) -> int:
     snapshot = server.metrics.snapshot()
     counters = snapshot["counters"]
     engine = {
-        "sim_mode": args.sim_mode,
+        "sim_mode": server.sim_mode.value,
         "batches_converged": counters.get("sim_batches_converged", 0),
         "rounds_fast_forwarded": counters.get("sim_rounds_fast_forwarded", 0),
     }

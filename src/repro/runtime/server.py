@@ -44,7 +44,7 @@ from repro.runtime.session import (
     FaultRetryExhausted,
     InferenceSession,
 )
-from repro.sim.modes import SimMode
+from repro.sim.modes import DEFAULT_SIM_MODE, SimMode
 
 
 class QueueFullError(RuntimeError):
@@ -147,7 +147,8 @@ class BatchingServer:
         graph_loader: workload-name resolver (:func:`load_workload` by
             default); injectable so tests can serve synthetic graphs.
         sim_mode: discrete-event engine for every session this server
-            creates (``steady`` by default — large batches cost roughly
+            creates (:data:`~repro.sim.modes.DEFAULT_SIM_MODE`,
+            ``columnar_steady``, by default — large batches cost roughly
             the transient; ``full`` forces the event-by-event oracle).
         fault_model: optional :class:`~repro.pim.faults.FaultModel`
             handed to every session — each batch replays the fault trace
@@ -173,7 +174,7 @@ class BatchingServer:
         num_vaults: int = 32,
         clock: Optional[Callable[[], float]] = None,
         graph_loader: Optional[Callable[[str], TaskGraph]] = None,
-        sim_mode: "SimMode | str" = SimMode.STEADY_STATE,
+        sim_mode: "SimMode | str" = DEFAULT_SIM_MODE,
         fault_model: Optional[FaultModel] = None,
         max_retries: int = 3,
         results_retention: int = 10_000,

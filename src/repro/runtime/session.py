@@ -48,7 +48,7 @@ from repro.pim.faults import FAULT_UNIT_PE, FaultModel
 from repro.pim.stats import TrafficStats
 from repro.runtime.plan_cache import PlanCache, plan_key_for
 from repro.sim.executor import ExecutionTrace, PeFaultError, ScheduleExecutor
-from repro.sim.modes import SimMode
+from repro.sim.modes import DEFAULT_SIM_MODE, SimMode
 from repro.sim.sinks import NullSink
 
 
@@ -90,8 +90,9 @@ class BatchResult:
     cache_spills: int
     max_lateness: int
     wall_seconds: float
-    #: engine used for this batch (``"full"`` or ``"steady"``).
-    sim_mode: str = SimMode.STEADY_STATE.value
+    #: engine used for this batch (a :class:`SimMode` value;
+    #: ``"columnar_steady"``, the production engine, by default).
+    sim_mode: str = DEFAULT_SIM_MODE.value
     #: round at which the steady-state engine converged (None: never, or
     #: the full-unroll engine was used).
     converged_round: Optional[int] = None
@@ -149,12 +150,15 @@ class InferenceSession:
             ``compile.widths_pruned``) into the registry. Cache hits record
             nothing — no compilation happened.
         sim_mode: discrete-event engine for the serving path.
-            ``SimMode.STEADY_STATE`` (the default) fingerprints the
-            machine at round boundaries and fast-forwards converged rounds
-            in O(1), so large-``N`` batches cost roughly the transient;
-            ``SimMode.FULL_UNROLL`` is the event-by-event oracle. Both
-            produce identical aggregate results (the acceptance tests pin
-            this), so serving defaults to the fast engine.
+            :data:`~repro.sim.modes.DEFAULT_SIM_MODE` (``columnar_steady``,
+            the production engine) runs on columnar machine state,
+            fingerprints it at round boundaries and fast-forwards
+            converged rounds in O(1), so large-``N`` batches cost roughly
+            the transient. ``SimMode.FULL_UNROLL`` is the event-by-event
+            oracle and object ``SimMode.STEADY_STATE`` the reference
+            implementation. All produce identical aggregate results (the
+            differential battery pins this), so serving defaults to the
+            fastest one.
         fault_model: optional :class:`~repro.pim.faults.FaultModel`.
             Static masks degrade the machine *before* the first compile
             (no wasted healthy-machine plan); timed events strike during
@@ -177,7 +181,7 @@ class InferenceSession:
         num_vaults: int = 32,
         verify: bool = False,
         metrics: Optional["MetricsRegistry"] = None,
-        sim_mode: Union[str, SimMode] = SimMode.STEADY_STATE,
+        sim_mode: Union[str, SimMode] = DEFAULT_SIM_MODE,
         fault_model: Optional[FaultModel] = None,
         max_retries: int = 3,
         retry_backoff_seconds: float = 0.0,

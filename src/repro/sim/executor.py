@@ -299,9 +299,13 @@ class ScheduleExecutor:
     Args:
         config: machine description.
         num_vaults: eDRAM vault count of the stacked memory.
-        mode: :class:`SimMode` -- ``FULL_UNROLL`` (oracle, default) or
-            ``STEADY_STATE`` (fingerprint convergence + O(1)
-            fast-forward). Aggregates are identical either way.
+        mode: :class:`SimMode` -- ``FULL_UNROLL`` (the oracle, and this
+            class's default), ``COLUMNAR_STEADY`` (the production engine
+            every serving and eval default selects: columnar state,
+            fingerprint convergence + O(1) fast-forward), ``COLUMNAR``,
+            or object ``STEADY_STATE`` (the reference implementation of
+            convergence detection). Aggregates are identical in every
+            mode.
         sink: where per-record trace data goes; defaults to a fresh
             unbounded :class:`~repro.sim.sinks.InMemorySink` per run.
         steady_max_period: longest limit cycle (in rounds) the

@@ -16,10 +16,18 @@ on flat per-PE/vault/port timeline arrays and precomputed static tables
 instead of the object graph. ``COLUMNAR`` matches ``FULL_UNROLL``
 signature-for-signature; ``COLUMNAR_STEADY`` adds the same convergence
 detection and O(1) fast-forward as ``STEADY_STATE``.
+
+:data:`DEFAULT_SIM_MODE` names the production engine, ``COLUMNAR_STEADY``:
+every serving tier, eval experiment and CLI that picks an engine on the
+caller's behalf uses it. Object ``STEADY_STATE`` is kept only as the
+reference implementation the convergence cross-checks compare against,
+and ``FULL_UNROLL`` stays the oracle (and ``ScheduleExecutor``'s own
+default).
 """
 
 from __future__ import annotations
 
+import argparse
 import enum
 
 
@@ -47,7 +55,12 @@ class SimMode(enum.Enum):
 
     @classmethod
     def from_name(cls, name: "str | SimMode") -> "SimMode":
-        """Parse a CLI-style mode name (``full``/``steady``), leniently."""
+        """Parse a CLI-style mode name, leniently.
+
+        Accepts each mode's value plus hyphenated and legacy spellings.
+        ``fast`` names the production engine (``columnar_steady``);
+        ``steady`` is the object reference engine.
+        """
         if isinstance(name, cls):
             return name
         normalized = str(name).strip().lower().replace("-", "_")
@@ -57,7 +70,7 @@ class SimMode(enum.Enum):
             "unroll": cls.FULL_UNROLL,
             "steady": cls.STEADY_STATE,
             "steady_state": cls.STEADY_STATE,
-            "fast": cls.STEADY_STATE,
+            "fast": cls.COLUMNAR_STEADY,
             "columnar": cls.COLUMNAR,
             "array": cls.COLUMNAR,
             "columnar_full": cls.COLUMNAR,
@@ -71,3 +84,39 @@ class SimMode(enum.Enum):
             raise ValueError(
                 f"unknown sim mode {name!r}; known: {known}"
             ) from None
+
+
+#: The production engine: bit-identical to the full unroll and the
+#: fastest verified path, so every default that picks an engine uses it.
+DEFAULT_SIM_MODE: SimMode = SimMode.COLUMNAR_STEADY
+
+
+def _cli_sim_mode(text: str) -> SimMode:
+    try:
+        return SimMode.from_name(text)
+    except ValueError as exc:
+        raise argparse.ArgumentTypeError(str(exc)) from None
+
+
+def add_sim_mode_argument(
+    parser: argparse.ArgumentParser,
+    default: "SimMode | None" = DEFAULT_SIM_MODE,
+    help: str = "",
+) -> None:
+    """Add the shared ``--sim-mode`` flag, parsed to a :class:`SimMode`.
+
+    Every CLI derives its choices from the enum here, so the parsers
+    cannot drift from the modes the executor accepts.
+    """
+    names = ",".join(mode.value for mode in SimMode)
+    parser.add_argument(
+        "--sim-mode",
+        type=_cli_sim_mode,
+        default=default,
+        metavar="{" + names + "}",
+        help=(
+            f"{help}{'; ' if help else ''}"
+            f"'{DEFAULT_SIM_MODE.value}' is the production engine, "
+            "'steady' the object reference, 'full' the event-by-event oracle"
+        ),
+    )

@@ -1,14 +1,18 @@
-"""Differential verification of the steady-state simulation engine.
+"""Differential verification of the accelerated simulation engines.
 
-The steady-state engine (:class:`~repro.sim.modes.SimMode.STEADY_STATE`)
-claims a strong equivalence: for any plan and any iteration count, its
+The production engine (:data:`~repro.sim.modes.DEFAULT_SIM_MODE`,
+``columnar_steady``) and its siblings -- object ``steady``, kept as the
+reference implementation of convergence detection, and ``columnar`` --
+claim a strong equivalence: for any plan and any iteration count, a
 fast-forwarded run produces *exactly* the same aggregate measurements as
 the event-by-event full unroll -- identical traffic counters, energy,
 spills, lateness and realized makespan. This module machine-checks that
 claim the same way :mod:`repro.verify.oracle` checks the DP allocator:
-run both engines on the same plan and compare their
+run each candidate engine and the full unroll on the same plan and
+compare their
 :meth:`~repro.sim.executor.ExecutionTrace.aggregate_signature` mappings
-field by field.
+field by field. The columnar engines must also reproduce the object
+reference's convergence round, period and fingerprint digest.
 
 A mismatch is a *simulator* bug, not a schedule bug -- it means the
 fingerprint convergence rule accepted a machine state that was not
@@ -36,7 +40,7 @@ DEFAULT_SIM_ITERATIONS: Tuple[int, ...] = (1, 20, 1000)
 
 #: candidate engines held to the full-unroll oracle, by mode name. The
 #: columnar pair must match not only the aggregate signature but also
-#: the steady engine's convergence observables (round, period,
+#: the object steady reference's convergence observables (round, period,
 #: fingerprint digest) -- the array engine re-derives them from its own
 #: canonical form, so equality is a real cross-implementation check.
 DEFAULT_CANDIDATE_MODES: Tuple[str, ...] = (

@@ -88,6 +88,34 @@ class TestBench:
         assert second["disk_hits"] == 2
 
 
+class TestSimMode:
+    ARGS = [
+        "bench", "--workers", "2", "--pes", "32", "--vaults", "16",
+        "--requests", "120", "--workloads", "flower,cat",
+        "--batch-window", "16", "--pump-every", "16", "--json",
+    ]
+
+    def bench(self, tmp_path, capsys, *extra):
+        out = tmp_path / "bench.json"
+        assert main(self.ARGS + ["--out", str(out), *extra]) == 0
+        capsys.readouterr()
+        return json.loads(out.read_text())
+
+    def test_default_engine_matches_the_full_unroll(self, tmp_path, capsys):
+        default = self.bench(tmp_path, capsys)
+        full = self.bench(tmp_path, capsys, "--sim-mode", "full")
+        assert default["sim_mode"] == "columnar_steady"
+        assert full["sim_mode"] == "full"
+        assert default["accounting"] == full["accounting"]
+        assert default["latency_units"] == full["latency_units"]
+
+    def test_unknown_mode_exits_2(self, capsys):
+        with pytest.raises(SystemExit) as excinfo:
+            main(["bench", "--sim-mode", "turbo"])
+        assert excinfo.value.code == 2
+        assert "unknown sim mode" in capsys.readouterr().err
+
+
 class TestRoute:
     def test_route_prints_assignments(self, capsys):
         code = main([
