@@ -205,6 +205,7 @@ def cmd_bench(args: argparse.Namespace) -> int:
     engine = {
         "sim_mode": server.sim_mode.value,
         "batches_converged": counters.get("sim_batches_converged", 0),
+        "batches_derived": counters.get("sim_batches_derived", 0),
         "rounds_fast_forwarded": counters.get("sim_rounds_fast_forwarded", 0),
     }
     fault_tolerance = {
@@ -244,6 +245,7 @@ def cmd_bench(args: argparse.Namespace) -> int:
     print(
         f"  engine              : {engine['sim_mode']} "
         f"({engine['batches_converged']:.0f} batches converged, "
+        f"{engine['batches_derived']:.0f} derived, "
         f"{engine['rounds_fast_forwarded']:.0f} rounds fast-forwarded)"
     )
     if fault_tolerance["faults_observed"]:

@@ -488,6 +488,9 @@ class BatchingServer:
             )
         if batch_result.converged_round is not None:
             self.metrics.counter("sim_batches_converged").inc()
+        # Derived from the plan's steady-state profile: no sim time spent.
+        if batch_result.derived:
+            self.metrics.counter("sim_batches_derived").inc()
         # Fault-tolerance observability: batches that needed failover and
         # whether the server is currently serving a degraded machine.
         if batch_result.failovers:

@@ -14,6 +14,17 @@ The session path is bit-identical to the direct
 path: both the planner and the executor are deterministic, and the session
 adds no transformation in between (verified by ``benchmarks/test_runtime``).
 
+Steady-state profiles. On the production engine, a session also pays a
+converged plan's simulated transient once: it keeps a
+:class:`~repro.sim.profile.SteadyProfile` of its active plan, seeded by
+every simulated batch that fast-forwarded, and *derives* any later batch
+in the same residue class mod the limit cycle by arithmetic instead of
+simulating it. Derived and simulated batches are identical (the
+``profile`` candidate of ``repro.verify --sim`` pins this). Every
+(re)compile replaces the profile, so failover and :meth:`swap_graph`
+drop it; sessions with an active fault model, or on any other engine,
+simulate every batch.
+
 Fault tolerance. A session constructed with a
 :class:`~repro.pim.faults.FaultModel` keeps serving when units die: the
 executor raises :class:`~repro.sim.executor.PeFaultError` the moment
@@ -49,6 +60,7 @@ from repro.pim.stats import TrafficStats
 from repro.runtime.plan_cache import PlanCache, plan_key_for
 from repro.sim.executor import ExecutionTrace, PeFaultError, ScheduleExecutor
 from repro.sim.modes import DEFAULT_SIM_MODE, SimMode
+from repro.sim.profile import SteadyProfile
 from repro.sim.sinks import NullSink
 
 
@@ -103,6 +115,9 @@ class BatchResult:
     #: True when the batch was served by a degraded (post-failover or
     #: statically masked) machine.
     degraded: bool = False
+    #: True when the batch was derived from the plan's steady-state
+    #: profile instead of simulated (it cost no simulation time).
+    derived: bool = False
 
     @property
     def sim_throughput(self) -> float:
@@ -238,6 +253,9 @@ class InferenceSession:
         self.last_trace: Optional[ExecutionTrace] = None
         self._plan: Optional[ParaConvResult] = None
         self._executor: Optional[ScheduleExecutor] = None
+        #: converged bases of the active plan on the active machine;
+        #: replaced with every (re)compile, so failover and swap drop it.
+        self._profile: Optional[SteadyProfile] = None
         if self._active_fault_model is not None and (
             self._active_fault_model.failed_pes
             or self._active_fault_model.failed_vaults
@@ -446,6 +464,7 @@ class InferenceSession:
             self._record_compile(self._plan)
         if self.verify:
             self._verify_plan(self._plan)
+        self._profile = SteadyProfile(self._plan.period)
         self.last_compile_seconds = time.perf_counter() - started
         return self._plan
 
@@ -476,8 +495,17 @@ class InferenceSession:
 
         Re-uses the compiled plan (and the executor object) across calls:
         no re-planning, no re-validation — only the discrete-event
-        execution itself. Each call simulates a fresh machine, exactly
-        like the direct executor path.
+        execution itself. A simulated batch runs on a fresh machine,
+        exactly like the direct executor path.
+
+        On the production engine (``columnar_steady``) with no active
+        fault model, a batch whose size shares a residue class mod ``q``
+        with a smaller batch that already fast-forwarded is *derived*
+        instead: the plan's :class:`~repro.sim.profile.SteadyProfile`
+        adds whole converged cycles to that batch's trace. The result is
+        identical to simulating it (``BatchResult.derived`` tells them
+        apart). Every other batch is simulated, and a converged one
+        seeds the profile.
 
         Under a fault model, a :class:`~repro.sim.executor.PeFaultError`
         mid-batch triggers failover: degrade, recompile (cache-first),
@@ -489,6 +517,17 @@ class InferenceSession:
             raise ValueError(f"iterations must be >= 1, got {iterations}")
         attempts = 0
         started = time.perf_counter()
+        if self._profiling and self.is_compiled:
+            trace = self._profile.derive(iterations)
+            if trace is not None:
+                self.last_trace = trace
+                return self._batch_result(
+                    trace,
+                    energy_model,
+                    time.perf_counter() - started,
+                    degraded=self.degraded_mode,
+                    derived=True,
+                )
         while True:
             plan = self.plan
             if self._executor is None:
@@ -519,6 +558,8 @@ class InferenceSession:
                 if self.retry_backoff_seconds > 0.0:
                     self._sleep(self.retry_backoff_seconds * attempts)
                 continue
+            if self._profiling:
+                self._profile.seed(trace)
             wall = time.perf_counter() - started
             self.last_trace = trace
             return self._batch_result(
@@ -529,6 +570,19 @@ class InferenceSession:
                 degraded=self.degraded_mode,
             )
 
+    @property
+    def _profiling(self) -> bool:
+        """Whether batches may be derived from (and seed) the profile.
+
+        Only fault-free runs on the production engine: a fault may
+        strike inside any batch, and the other engines stay pure
+        references that simulate every batch.
+        """
+        return (
+            self.sim_mode is SimMode.COLUMNAR_STEADY
+            and self._active_fault_model is None
+        )
+
     @staticmethod
     def _batch_result(
         trace: ExecutionTrace,
@@ -536,6 +590,7 @@ class InferenceSession:
         wall_seconds: float,
         failovers: int = 0,
         degraded: bool = False,
+        derived: bool = False,
     ) -> BatchResult:
         return BatchResult(
             iterations=trace.iterations,
@@ -551,6 +606,7 @@ class InferenceSession:
             rounds_fast_forwarded=trace.rounds_fast_forwarded,
             failovers=failovers,
             degraded=degraded,
+            derived=derived,
         )
 
     # ------------------------------------------------------------------

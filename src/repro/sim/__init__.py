@@ -16,6 +16,7 @@ from repro.sim.executor import (
     simulate_sparta,
 )
 from repro.sim.modes import SimMode
+from repro.sim.profile import SteadyProfile
 from repro.sim.sinks import (
     CountingSink,
     FastForwardNotice,
@@ -45,6 +46,7 @@ __all__ = [
     "ScheduleExecutor",
     "SimMode",
     "SimulationError",
+    "SteadyProfile",
     "TraceSink",
     "TransferKind",
     "simulate_sparta",

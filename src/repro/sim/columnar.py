@@ -504,35 +504,30 @@ class ColumnarRun:
         time_shift = rounds * self.period
 
         # 1. Counter replay: the converged per-cycle delta, M times.
-        for index, name in enumerate(list(trace.stats.as_dict())):
-            delta = current.trace_stats[index] - previous.trace_stats[index]
+        delta = current.delta(previous)
+        (stats_delta, memory_delta, spills, instances, transfers, busy,
+         lateness, events) = delta
+        for name, step in zip(list(trace.stats.as_dict()), stats_delta):
             setattr(trace.stats, name,
-                    getattr(trace.stats, name) + repetitions * delta)
-        for index, name in enumerate(list(self._mem_stats.as_dict())):
-            delta = current.memory_stats[index] - previous.memory_stats[index]
-            setattr(self._mem_stats, name,
-                    getattr(self._mem_stats, name) + repetitions * delta)
-        instances_skipped = repetitions * (
-            current.num_instances - previous.num_instances
-        )
-        transfers_skipped = repetitions * (
-            current.num_transfers - previous.num_transfers
-        )
-        trace.cache_spills += repetitions * (
-            current.cache_spills - previous.cache_spills
-        )
+                    getattr(trace.stats, name) + repetitions * step)
+        memory = self._mem_stats
+        for name, step in zip(list(memory.as_dict()), memory_delta):
+            setattr(memory, name, getattr(memory, name) + repetitions * step)
+        instances_skipped = repetitions * instances
+        transfers_skipped = repetitions * transfers
+        trace.cache_spills += repetitions * spills
         trace.num_instances += instances_skipped
         trace.num_transfers += transfers_skipped
-        trace.busy_units += repetitions * (
-            current.busy_units - previous.busy_units
-        )
-        trace.lateness_total += repetitions * (
-            current.lateness_total - previous.lateness_total
-        )
-        self._events_skipped += repetitions * (
-            current.events_processed - previous.events_processed
-        )
+        trace.busy_units += repetitions * busy
+        trace.lateness_total += repetitions * lateness
+        self._events_skipped += repetitions * events
         self._max_finish += time_shift
+        # Digest of the converged state at boundary ``c`` itself, taken
+        # before the splice, so it does not depend on how many cycles
+        # the batch skips.
+        trace.steady_fingerprint = self._fingerprint(
+            boundary_round * self.period, boundary_round
+        )
 
         # 2. Timestamp splice: one array add per timeline; iteration
         # labels of live bookkeeping rebuilt with the round shift.
@@ -584,9 +579,7 @@ class ColumnarRun:
         trace.converged_round = boundary_round
         trace.converged_period = period_rounds
         trace.rounds_fast_forwarded += rounds
-        trace.steady_fingerprint = self._fingerprint(
-            boundary_round * self.period, boundary_round
-        )
+        trace.cycle_delta = delta
         trace.sink.on_fast_forward(FastForwardNotice(
             rounds=rounds,
             time_shift=time_shift,

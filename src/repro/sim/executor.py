@@ -171,6 +171,11 @@ class ExecutionTrace:
     rounds_fast_forwarded: int = 0
     #: digest of the converged machine state (None before convergence).
     steady_fingerprint: Optional[str] = None
+    #: counter increments of one converged limit cycle, as
+    #: :meth:`_BoundarySnapshot.delta` returns them (None until a
+    #: fast-forward); a :class:`~repro.sim.profile.SteadyProfile` derives
+    #: later batches from it.
+    cycle_delta: Optional[tuple] = None
 
     @property
     def records(self) -> List[InstanceRecord]:
@@ -721,37 +726,30 @@ class _ExecutorRun:
         time_shift = rounds * self.period
 
         # 1. Counter replay: the converged per-cycle delta, M times.
-        stats_keys = list(trace.stats.as_dict())
-        for index, name in enumerate(stats_keys):
-            delta = current.trace_stats[index] - previous.trace_stats[index]
+        delta = current.delta(previous)
+        (stats_delta, memory_delta, spills, instances, transfers, busy,
+         lateness, events) = delta
+        for name, step in zip(list(trace.stats.as_dict()), stats_delta):
             setattr(trace.stats, name,
-                    getattr(trace.stats, name) + repetitions * delta)
-        memory_keys = list(state.memory.stats.as_dict())
-        for index, name in enumerate(memory_keys):
-            delta = current.memory_stats[index] - previous.memory_stats[index]
-            setattr(state.memory.stats, name,
-                    getattr(state.memory.stats, name) + repetitions * delta)
-        instances_skipped = repetitions * (
-            current.num_instances - previous.num_instances
-        )
-        transfers_skipped = repetitions * (
-            current.num_transfers - previous.num_transfers
-        )
-        trace.cache_spills += repetitions * (
-            current.cache_spills - previous.cache_spills
-        )
+                    getattr(trace.stats, name) + repetitions * step)
+        memory = state.memory.stats
+        for name, step in zip(list(memory.as_dict()), memory_delta):
+            setattr(memory, name, getattr(memory, name) + repetitions * step)
+        instances_skipped = repetitions * instances
+        transfers_skipped = repetitions * transfers
+        trace.cache_spills += repetitions * spills
         trace.num_instances += instances_skipped
         trace.num_transfers += transfers_skipped
-        trace.busy_units += repetitions * (
-            current.busy_units - previous.busy_units
-        )
-        trace.lateness_total += repetitions * (
-            current.lateness_total - previous.lateness_total
-        )
-        self._events_skipped += repetitions * (
-            current.events_processed - previous.events_processed
-        )
+        trace.busy_units += repetitions * busy
+        trace.lateness_total += repetitions * lateness
+        self._events_skipped += repetitions * events
         self._max_finish += time_shift
+        # Digest of the converged state at boundary ``c`` itself, taken
+        # before the splice, so it does not depend on how many cycles
+        # the batch skips.
+        trace.steady_fingerprint = state.fingerprint(
+            boundary_round * self.period, boundary_round
+        )
 
         # 2. Timestamp splice: translate the machine and the in-flight
         # event set forward; relabel live iterations.
@@ -770,9 +768,7 @@ class _ExecutorRun:
         # the fault boundary, re-converge on the other side and splice
         # again -- the counter totals every skipped round.
         trace.rounds_fast_forwarded += rounds
-        trace.steady_fingerprint = state.fingerprint(
-            boundary_round * self.period, boundary_round
-        )
+        trace.cycle_delta = delta
         trace.sink.on_fast_forward(FastForwardNotice(
             rounds=rounds,
             time_shift=time_shift,

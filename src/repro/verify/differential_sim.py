@@ -12,7 +12,10 @@ run each candidate engine and the full unroll on the same plan and
 compare their
 :meth:`~repro.sim.executor.ExecutionTrace.aggregate_signature` mappings
 field by field. The columnar engines must also reproduce the object
-reference's convergence round, period and fingerprint digest.
+reference's convergence round, period and fingerprint digest. The
+``profile`` candidate is not an engine: it seeds a
+:class:`~repro.sim.profile.SteadyProfile` and holds the batches it
+*derives*, in every residue class mod ``q``, to the same standard.
 
 A mismatch is a *simulator* bug, not a schedule bug -- it means the
 fingerprint convergence rule accepted a machine state that was not
@@ -25,12 +28,13 @@ which is why this check rides in the ``python -m repro.verify`` CI gate
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
 from repro.core.paraconv import ParaConvResult
 from repro.pim.config import PimConfig
-from repro.sim.executor import ScheduleExecutor
+from repro.sim.executor import ExecutionTrace, ScheduleExecutor
 from repro.sim.modes import SimMode
+from repro.sim.profile import SteadyProfile
 from repro.sim.sinks import NullSink
 
 #: iteration counts exercised by default: trivial (no steady state can
@@ -38,13 +42,24 @@ from repro.sim.sinks import NullSink
 #: dominates when the workload converges).
 DEFAULT_SIM_ITERATIONS: Tuple[int, ...] = (1, 20, 1000)
 
-#: candidate engines held to the full-unroll oracle, by mode name. The
-#: columnar pair must match not only the aggregate signature but also
-#: the object steady reference's convergence observables (round, period,
-#: fingerprint digest) -- the array engine re-derives them from its own
-#: canonical form, so equality is a real cross-implementation check.
+#: the candidate that derives batches from a steady-state profile.
+PROFILE_CANDIDATE = "profile"
+
+#: candidates held to the full-unroll oracle: engines by mode name, plus
+#: :data:`PROFILE_CANDIDATE`. The columnar pair must match not only the
+#: aggregate signature but also the object steady reference's convergence
+#: observables (round, period, fingerprint digest) -- the array engine
+#: re-derives them from its own canonical form, so equality is a real
+#: cross-implementation check.
 DEFAULT_CANDIDATE_MODES: Tuple[str, ...] = (
-    "steady", "columnar", "columnar_steady",
+    "steady", "columnar", "columnar_steady", PROFILE_CANDIDATE,
+)
+
+#: convergence observables a derived or columnar trace must reproduce.
+_OBSERVABLES: Tuple[str, ...] = (
+    "converged_round", "converged_period",
+    "rounds_fast_forwarded", "steady_fingerprint",
+    "rounds_simulated",
 )
 
 
@@ -135,17 +150,22 @@ def differential_simulate(
     count and fingerprint digest): the columnar engine computes its
     canonical form from timeline arrays, so this equality is a genuine
     cross-implementation check of the convergence rule itself.
+
+    The ``profile`` candidate runs only when the ``columnar_steady`` run
+    fast-forwarded; see :func:`_profile_mismatches`.
     """
     machine = config or plan.config
 
-    def run(mode: str):
+    def run(mode: str, n: int = iterations):
         return ScheduleExecutor(
             machine, num_vaults=num_vaults, mode=SimMode.from_name(mode)
-        ).execute(plan, iterations=iterations, sink=NullSink())
+        ).execute(plan, iterations=n, sink=NullSink())
 
     full = run("full")
     reference = full.aggregate_signature()
-    traces = {mode: run(mode) for mode in modes}
+    traces = {
+        mode: run(mode) for mode in modes if mode != PROFILE_CANDIDATE
+    }
     steady_trace = traces.get("steady")
     report = SimDifferentialReport(
         workload=plan.graph.name,
@@ -162,30 +182,89 @@ def differential_simulate(
     )
     for mode, trace in traces.items():
         prefix = "" if mode == "steady" else f"{mode}:"
-        candidate = trace.aggregate_signature()
-        for key in sorted(set(reference) | set(candidate)):
-            lhs = reference.get(key)
-            rhs = candidate.get(key)
-            if lhs != rhs:
-                report.mismatches.append(SimMismatch(
-                    field=f"{prefix}{key}", full_value=lhs, steady_value=rhs
-                ))
+        report.mismatches += _diff(
+            prefix, reference, trace.aggregate_signature()
+        )
     columnar_steady = traces.get("columnar_steady")
     if steady_trace is not None and columnar_steady is not None:
-        for observable in (
-            "converged_round", "converged_period",
-            "rounds_fast_forwarded", "steady_fingerprint",
-            "rounds_simulated",
-        ):
-            lhs = getattr(steady_trace, observable)
-            rhs = getattr(columnar_steady, observable)
-            if lhs != rhs:
-                report.mismatches.append(SimMismatch(
-                    field=f"columnar_steady:{observable}",
-                    full_value=lhs,
-                    steady_value=rhs,
-                ))
+        report.mismatches += _diff(
+            "columnar_steady:", _observables(steady_trace),
+            _observables(columnar_steady),
+        )
+    if PROFILE_CANDIDATE in modes:
+        report.mismatches += _profile_mismatches(
+            plan.period, run, full,
+            columnar_steady if columnar_steady is not None
+            else run("columnar_steady"),
+        )
     return report
+
+
+def _observables(trace: ExecutionTrace) -> Dict[str, object]:
+    return {name: getattr(trace, name) for name in _OBSERVABLES}
+
+
+def _diff(
+    prefix: str, reference: Dict[str, object], candidate: Dict[str, object]
+) -> List[SimMismatch]:
+    return [
+        SimMismatch(
+            field=f"{prefix}{key}",
+            full_value=reference.get(key),
+            steady_value=candidate.get(key),
+        )
+        for key in sorted(set(reference) | set(candidate))
+        if reference.get(key) != candidate.get(key)
+    ]
+
+
+def _profile_mismatches(
+    period: int,
+    run: Callable[..., ExecutionTrace],
+    full: ExecutionTrace,
+    seed: ExecutionTrace,
+) -> List[SimMismatch]:
+    """Derive an ``N`` sweep over every residue class from a profile.
+
+    ``seed`` is the ``columnar_steady`` trace at the report's batch size;
+    if it never fast-forwarded, nothing is derivable and nothing is
+    checked. Otherwise the profile is also seeded with the smallest
+    batches that splice a cycle, ``c + q .. c + 2q - 1`` (one per
+    residue class), and every batch one and two cycles beyond them, plus
+    the seed's own size, must derive. Each derived trace must match the
+    full unroll's aggregate signature and a real ``columnar_steady``
+    run's convergence observables.
+    """
+    profile = SteadyProfile(period)
+    if not profile.seed(seed):
+        return []
+    q = profile.converged_period
+    bases = range(profile.converged_round + q, profile.converged_round + 2 * q)
+    for n in bases:
+        profile.seed(run("columnar_steady", n))
+    sweep = {n + k * q for n in bases for k in (1, 2)} | {seed.iterations}
+    mismatches: List[SimMismatch] = []
+    for n in sorted(sweep):
+        derived = profile.derive(n)
+        if derived is None:
+            mismatches.append(SimMismatch(
+                field=f"profile:N={n}:derivable",
+                full_value=True,
+                steady_value=False,
+            ))
+            continue
+        own = n == seed.iterations
+        mismatches += _diff(
+            f"profile:N={n}:",
+            (full if own else run("full", n)).aggregate_signature(),
+            derived.aggregate_signature(),
+        )
+        mismatches += _diff(
+            f"profile:N={n}:",
+            _observables(seed if own else run("columnar_steady", n)),
+            _observables(derived),
+        )
+    return mismatches
 
 
 def sim_differential_battery(

@@ -31,6 +31,17 @@ class TestRuntimeCli:
         assert {"p50", "p95", "p99"} <= set(payload["sim_latency_units"])
         assert payload["plan_cache"]["misses"] == 1
 
+    def test_bench_json_reports_derived_batches(self, capsys):
+        rc = runtime_cli.main(
+            ["bench", "flower", "--requests", "16", "--pes", "16",
+             "--batch-iterations", "40", "--window", "4", "--json"]
+        )
+        assert rc == 0
+        engine = json.loads(capsys.readouterr().out)["engine"]
+        # Four equal converged batches: the first seeds the profile.
+        assert engine["batches_converged"] == 4
+        assert engine["batches_derived"] == 3
+
     def test_bench_overload_rejects_and_recovers(self, capsys):
         rc = runtime_cli.main(
             ["bench", "cat", "--requests", "9", "--pes", "16",

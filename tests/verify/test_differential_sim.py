@@ -2,9 +2,11 @@
 
 import pytest
 
+from repro.cnn import load_workload
 from repro.core.paraconv import ParaConv
 from repro.graph.generators import synthetic_benchmark
 from repro.pim.config import PimConfig
+from repro.sim.profile import SteadyProfile
 from repro.verify.differential_sim import (
     DEFAULT_SIM_ITERATIONS,
     SimDifferentialReport,
@@ -42,6 +44,51 @@ class TestDifferentialSimulate:
         assert report.converged_round is not None
         assert report.rounds_fast_forwarded > 0
         assert f"converged@{report.converged_round}" in report.describe()
+
+    def test_profile_candidate_derives_every_residue_class(
+        self, machine, monkeypatch
+    ):
+        # The registry's car on a fleet shard (8 vaults) has a 6-round
+        # limit cycle, so the sweep must cover six residue classes.
+        plan = ParaConv(machine).run(load_workload("car"))
+        derived = []
+        original = SteadyProfile.derive
+
+        def recording(profile, iterations):
+            trace = original(profile, iterations)
+            derived.append((profile.converged_period, iterations))
+            return trace
+
+        monkeypatch.setattr(SteadyProfile, "derive", recording)
+        report = differential_simulate(
+            plan, config=machine, iterations=100, num_vaults=8,
+            modes=("profile",),
+        )
+        assert report.ok, report.describe()
+        assert {period for period, _ in derived} == {6}
+        assert {n % 6 for _, n in derived} == set(range(6))
+        assert 100 in {n for _, n in derived}
+
+    def test_profile_candidate_catches_a_wrong_derivation(
+        self, machine, flower_plan, monkeypatch
+    ):
+        original = SteadyProfile.derive
+
+        def off_by_one(profile, iterations):
+            trace = original(profile, iterations)
+            trace.realized_makespan += 1
+            return trace
+
+        monkeypatch.setattr(SteadyProfile, "derive", off_by_one)
+        report = differential_simulate(
+            flower_plan, config=machine, iterations=300, modes=("profile",)
+        )
+        assert not report.ok
+        assert all(
+            m.field.startswith("profile:N=")
+            and m.field.endswith(":realized_makespan")
+            for m in report.mismatches
+        )
 
     def test_battery_covers_every_count(self, machine, flower_plan):
         reports = sim_differential_battery(
