@@ -10,8 +10,9 @@
   which is how the :class:`~repro.compiler.manager.PassManager` enforces
   immutability *between* passes;
 * **shared** holds width-invariant precomputation (ASAP levels, total
-  work) that the width search hoists out of the per-width loop and shares
-  across forked contexts.
+  work, the graph topology and the priced edge table) that the width
+  search hoists out of the per-width loop and shares across forked
+  contexts.
 
 Forking (:meth:`CompileContext.fork_for_width`) is how one validated graph
 feeds many candidate widths — or, in the ablation harness, how one edge
@@ -21,11 +22,14 @@ analysis feeds many allocators — without re-running upstream passes.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Any, Dict, List, Optional
+from typing import TYPE_CHECKING, Any, Dict, List, Optional
 
 from repro.compiler.errors import ArtifactError
-from repro.graph.taskgraph import TaskGraph
+from repro.graph.taskgraph import GraphTopology, TaskGraph
 from repro.pim.config import PimConfig
+
+if TYPE_CHECKING:
+    from repro.core.retiming import EdgeTable
 
 #: Canonical artifact names produced by the standard pipeline, in order of
 #: first appearance. Kept as one tuple so tests and docs have a single
@@ -164,3 +168,17 @@ class CompileContext:
 
             self.shared["asap_levels"] = asap_levels(self.graph)
         return self.shared["asap_levels"]
+
+    def shared_topology(self) -> GraphTopology:
+        if "topology" not in self.shared:
+            self.shared["topology"] = GraphTopology(self.graph)
+        return self.shared["topology"]
+
+    def shared_edge_table(self) -> "EdgeTable":
+        if "edge_table" not in self.shared:
+            from repro.core.retiming import EdgeTable
+
+            self.shared["edge_table"] = EdgeTable.build(
+                self.graph, self.config, self.shared_topology()
+            )
+        return self.shared["edge_table"]

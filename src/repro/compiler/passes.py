@@ -34,7 +34,7 @@ from repro.core.allocation import (
     AllocationResult,
     resolve_allocator,
 )
-from repro.core.retiming import analyze_edges, solve_retiming
+from repro.core.retiming import analyze_edges, placement_deltas, solve_retiming
 from repro.core.schedule import (
     PeriodicSchedule,
     ScheduleError,
@@ -72,7 +72,8 @@ class ValidateGraphPass(CompilerPass):
     """Structural preconditions; width-invariant, hoisted by the search.
 
     Also primes the shared width-invariant precomputation (ASAP levels,
-    total work, max execution time) so per-width pipeline runs share it.
+    total work, max execution time, the graph topology and the priced
+    edge table) so per-width pipeline runs share it.
     """
 
     name = "validate-graph"
@@ -85,6 +86,7 @@ class ValidateGraphPass(CompilerPass):
         ctx.shared_total_work()
         ctx.shared_max_execution_time()
         ctx.shared_asap_levels()
+        ctx.shared_edge_table()
         ctx.put("graph-valid", True)
 
 
@@ -119,7 +121,11 @@ class CompactKernelPass(CompilerPass):
 
 
 class AnalyzeEdgesPass(CompilerPass):
-    """Paper step 3: per-edge retiming analysis (Section 3.2)."""
+    """Paper step 3: per-edge retiming analysis (Section 3.2).
+
+    Reads the shared edge table, so a width only clamps the priced
+    transfers to its period and reads its kernel offsets.
+    """
 
     name = "analyze-edges"
     requires = ("kernel",)
@@ -128,7 +134,9 @@ class AnalyzeEdgesPass(CompilerPass):
     def run(self, ctx: CompileContext) -> None:
         ctx.put(
             "timings",
-            analyze_edges(ctx.graph, ctx.get("kernel"), ctx.config),
+            analyze_edges(
+                ctx.graph, ctx.get("kernel"), ctx.config, ctx.shared_edge_table()
+            ),
         )
 
 
@@ -190,16 +198,12 @@ class LivenessReweightPass(CompilerPass):
         from repro.core.liveness import liveness_weighted_problem
 
         timings = ctx.get("timings")
-        allocation = ctx.get("allocation")
-        deltas = {
-            key: timing.delta_for(allocation.placements[key])
-            for key, timing in timings.items()
-        }
-        provisional = solve_retiming(ctx.graph, deltas)
+        topology = ctx.shared_topology()
+        deltas = placement_deltas(timings, ctx.get("allocation").placements)
+        retiming = solve_retiming(ctx.graph, deltas, topology).vertex_retiming
         realized = {
-            edge.key: provisional.vertex_retiming[edge.producer]
-            - provisional.vertex_retiming[edge.consumer]
-            for edge in ctx.graph.edges()
+            key: retiming[producer] - retiming[consumer]
+            for key, producer, consumer in topology.edges
         }
         problem = liveness_weighted_problem(
             timings, ctx.capacity_slots, realized
@@ -217,13 +221,12 @@ class SolveRetimingPass(CompilerPass):
     produces = ("retiming",)
 
     def run(self, ctx: CompileContext) -> None:
-        timings = ctx.get("timings")
-        allocation = ctx.get("allocation")
-        deltas = {
-            key: timing.delta_for(allocation.placements[key])
-            for key, timing in timings.items()
-        }
-        ctx.put("retiming", solve_retiming(ctx.graph, deltas))
+        deltas = placement_deltas(
+            ctx.get("timings"), ctx.get("allocation").placements
+        )
+        ctx.put(
+            "retiming", solve_retiming(ctx.graph, deltas, ctx.shared_topology())
+        )
 
 
 class EmitSchedulePass(CompilerPass):
@@ -262,5 +265,7 @@ class ValidateSchedulePass(CompilerPass):
     produces = ("schedule-valid",)
 
     def run(self, ctx: CompileContext) -> None:
-        validate_periodic_schedule(ctx.get("schedule"))
+        validate_periodic_schedule(
+            ctx.get("schedule"), topology=ctx.shared_topology()
+        )
         ctx.put("schedule-valid", True)

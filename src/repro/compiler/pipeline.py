@@ -54,6 +54,7 @@ from repro.compiler.passes import (
     ValidateSchedulePass,
     ZeroDrPrepassPass,
 )
+from repro.core.retiming import EdgeTable
 from repro.graph.taskgraph import TaskGraph
 from repro.pim.config import PimConfig
 
@@ -293,6 +294,7 @@ def transfer_critical_path(
     graph: TaskGraph,
     config: PimConfig,
     period_floor: int,
+    table: Optional[EdgeTable] = None,
 ) -> int:
     """Longest dependency chain priced with best-case transfers.
 
@@ -313,23 +315,30 @@ def transfer_critical_path(
         config: machine description (prices the cache transfers).
         period_floor: an admissible lower bound on the schedule period at
             the candidate width (the load-balance bound).
+        table: the width-invariant :class:`~repro.core.retiming.EdgeTable`
+            of ``(graph, config)``; built here when omitted.
 
     Returns:
         The maximum over all dependency paths of
         ``sum(execution_time) + sum(min(period_floor, cache_transfer))``.
     """
-    longest: Dict[int, int] = {}
-    for op_id in graph.topological_order():
-        exec_time = graph.operation(op_id).execution_time
-        incoming = 0
-        for edge in graph.in_edges(op_id):
-            price = min(
-                period_floor,
-                config.cache_transfer_units(edge.size_bytes),
-            )
-            incoming = max(incoming, longest[edge.producer] + price)
-        longest[op_id] = incoming + exec_time
-    return max(longest.values()) if longest else 0
+    if table is None:
+        table = EdgeTable.build(graph, config)
+    price = {row[0]: min(period_floor, row[3]) for row in table.rows}
+    topology = table.topology
+    execution_time = topology.execution_time
+    out_edges = topology.out_edges
+    # Longest chain *starting* at each op, walked sinks first; its max
+    # over ops equals the longest chain overall.
+    tail: Dict[int, int] = {}
+    for op_id in topology.reverse_order:
+        best = 0
+        for key, consumer in out_edges[op_id]:
+            reach = price[key] + tail[consumer]
+            if reach > best:
+                best = reach
+        tail[op_id] = best + execution_time[op_id]
+    return max(tail.values(), default=0)
 
 
 def width_lower_bound(

@@ -28,11 +28,13 @@ from repro.core.scheduler import (
 )
 from repro.core.retiming import (
     DeltaRAccounting,
+    EdgeTable,
     EdgeTiming,
     RetimingError,
     RetimingSolution,
     analyze_edges,
     delta_r_accounting,
+    placement_deltas,
     required_retiming,
     solve_retiming,
 )
@@ -72,6 +74,7 @@ __all__ = [
     "AllocationProblem",
     "AllocationResult",
     "DeltaRAccounting",
+    "EdgeTable",
     "EdgeTiming",
     "delta_r_accounting",
     "ExpandedSchedule",
@@ -100,6 +103,7 @@ __all__ = [
     "list_schedule",
     "load_balance_bound",
     "oracle_allocate",
+    "placement_deltas",
     "random_allocate",
     "required_retiming",
     "solve_retiming",

@@ -22,12 +22,12 @@ Since PR 3 the stages are *named compiler passes* executed by
 :class:`repro.compiler.CompileContext` — see :mod:`repro.compiler.passes`
 for the stage table. :class:`ParaConv` is the front-end: it turns its
 knobs into a :class:`repro.compiler.PipelineConfig`, hoists width-invariant
-work (graph validation, ASAP levels) out of the width search, prunes
-candidate widths whose admissible lower bound (load-balance and
-transfer-critical-path terms) cannot beat the incumbent,
-and attaches a :class:`repro.compiler.CompileStats` breakdown to every
-result (surfaced by ``python -m repro … --explain`` and the serving
-runtime).
+work (graph validation, ASAP levels, the graph topology and the priced
+edge table) out of the width search, prunes candidate widths whose
+admissible lower bound (load-balance and transfer-critical-path terms)
+cannot beat the incumbent, and attaches a
+:class:`repro.compiler.CompileStats` breakdown to every result (surfaced
+by ``python -m repro … --explain`` and the serving runtime).
 """
 
 from __future__ import annotations
@@ -244,9 +244,10 @@ class ParaConv:
         independent of candidate enumeration order.
 
         Width-invariant work (graph validation, ASAP levels, work sums,
-        the transfer critical path per period floor) is hoisted out of
-        the loop, and candidates whose lower bound — the max of the
-        load-balance and transfer-critical-path terms (see
+        the graph topology, the priced edge table, the transfer critical
+        path per period floor) is hoisted out of the loop, and candidates
+        whose lower bound — the max of the load-balance and
+        transfer-critical-path terms (see
         :func:`repro.compiler.width_lower_bound`) — cannot beat the
         incumbent best are pruned without compiling, both measurable in
         the attached ``compile_stats`` and both guaranteed not to change
@@ -274,7 +275,7 @@ class ParaConv:
         def cp_for(period_floor: int) -> int:
             if period_floor not in cp_memo:
                 cp_memo[period_floor] = transfer_critical_path(
-                    graph, self.config, period_floor
+                    graph, self.config, period_floor, base.shared_edge_table()
                 )
             return cp_memo[period_floor]
 

@@ -22,12 +22,16 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Dict, Mapping, Tuple
+from typing import Dict, Mapping, Optional, Tuple
 
 from repro.core.schedule import KernelSchedule
-from repro.graph.taskgraph import TaskGraph
+from repro.graph.taskgraph import EdgeKey, GraphTopology, TaskGraph
 from repro.pim.config import PimConfig
 from repro.pim.memory import Placement
+
+#: One :class:`EdgeTable` row: ``(key, producer, consumer, cache_units,
+#: edram_units, slots)`` -- both transfer times unclamped.
+EdgeRow = Tuple[EdgeKey, int, int, int, int, int]
 
 
 class RetimingError(ValueError):
@@ -98,43 +102,93 @@ class EdgeTiming:
         )
 
 
+@dataclass(frozen=True)
+class EdgeTable:
+    """The width-invariant half of the edge analysis, priced once.
+
+    An intermediate result's transfer time under each placement and its
+    cache footprint depend on its size and the machine, not on the
+    PE-group width; only the clamp to the period ``p`` and the kernel
+    offsets do. The width search builds one table per (graph, machine)
+    into :attr:`CompileContext.shared
+    <repro.compiler.context.CompileContext.shared>`, and every candidate
+    width reads it.
+
+    Attributes:
+        topology: the graph's :class:`~repro.graph.taskgraph.GraphTopology`.
+        rows: one :data:`EdgeRow` per edge, in graph insertion order.
+    """
+
+    topology: GraphTopology
+    rows: Tuple[EdgeRow, ...]
+
+    @classmethod
+    def build(
+        cls,
+        graph: TaskGraph,
+        config: PimConfig,
+        topology: Optional[GraphTopology] = None,
+    ) -> "EdgeTable":
+        return cls(
+            topology=topology if topology is not None else GraphTopology(graph),
+            rows=tuple(
+                (
+                    edge.key,
+                    edge.producer,
+                    edge.consumer,
+                    config.cache_transfer_units(edge.size_bytes),
+                    config.edram_transfer_units(edge.size_bytes),
+                    config.slots_required(edge.size_bytes),
+                )
+                for edge in graph.edges()
+            ),
+        )
+
+
 def analyze_edges(
-    graph: TaskGraph, kernel: KernelSchedule, config: PimConfig
-) -> Dict[Tuple[int, int], EdgeTiming]:
+    graph: TaskGraph,
+    kernel: KernelSchedule,
+    config: PimConfig,
+    table: Optional[EdgeTable] = None,
+) -> Dict[EdgeKey, EdgeTiming]:
     """Compute :class:`EdgeTiming` for every intermediate result.
 
     This is the "analysis of extra data movement" of Section 3.2: it bounds
     how many extra prologue iterations each placement choice costs.
+    ``table`` carries the width-invariant prices (built here when
+    omitted); each delta is :func:`required_retiming`, inlined.
     """
     period = kernel.period
     if period <= 0:
         raise RetimingError("kernel period must be positive")
-    timings: Dict[Tuple[int, int], EdgeTiming] = {}
-    for edge in graph.edges():
-        t_cache = min(period, config.cache_transfer_units(edge.size_bytes))
-        t_edram = min(period, config.edram_transfer_units(edge.size_bytes))
+    if table is None:
+        table = EdgeTable.build(graph, config)
+    placed = kernel.placements
+    timings: Dict[EdgeKey, EdgeTiming] = {}
+    for key, producer, consumer, cache_units, edram_units, slots in table.rows:
+        t_cache = cache_units if cache_units < period else period
+        t_edram = edram_units if edram_units < period else period
         if t_edram < t_cache:
             raise RetimingError(
-                f"edge {edge.key}: eDRAM transfer faster than cache "
+                f"edge {key}: eDRAM transfer faster than cache "
                 "(configuration inverts the memory hierarchy)"
             )
-        finish = kernel.finish(edge.producer)
-        start = kernel.start(edge.consumer)
-        d_cache = required_retiming(finish, start, t_cache, period)
-        d_edram = required_retiming(finish, start, t_edram, period)
+        if t_cache < 0:
+            raise RetimingError("transfer time must be >= 0")
+        finish = (placed.get(producer) or kernel.placement(producer)).finish
+        start = (placed.get(consumer) or kernel.placement(consumer)).start
+        gap = finish - start
+        d_cache = -(-(gap + t_cache) // period) if gap + t_cache > 0 else 0
+        d_edram = -(-(gap + t_edram) // period) if gap + t_edram > 0 else 0
         if d_cache > 2 or d_edram > 2:
             raise RetimingError(
-                f"edge {edge.key}: required retiming exceeds Theorem 3.1 "
+                f"edge {key}: required retiming exceeds Theorem 3.1 "
                 f"bound (cache={d_cache}, eDRAM={d_edram})"
             )
-        timings[edge.key] = EdgeTiming(
-            key=edge.key,
-            transfer_cache=t_cache,
-            transfer_edram=t_edram,
-            delta_cache=d_cache,
-            delta_edram=d_edram,
-            slots=config.slots_required(edge.size_bytes),
-            deadline=start,
+        # Positional: keyword construction of the frozen dataclass costs
+        # half as much again, once per edge per candidate width.
+        timings[key] = EdgeTiming(
+            key, t_cache, t_edram, d_cache, d_edram, slots, start
         )
     return timings
 
@@ -243,31 +297,52 @@ class RetimingSolution:
         return all(r >= 0 for r in self.vertex_retiming.values())
 
 
+def placement_deltas(
+    timings: Mapping[EdgeKey, EdgeTiming],
+    placements: Mapping[EdgeKey, Placement],
+) -> Dict[EdgeKey, int]:
+    """Per-edge required retiming under a concrete placement of every edge."""
+    cache = Placement.CACHE
+    return {
+        key: timing.delta_cache if placements[key] is cache else timing.delta_edram
+        for key, timing in timings.items()
+    }
+
+
 def solve_retiming(
-    graph: TaskGraph, deltas: Mapping[Tuple[int, int], int]
+    graph: TaskGraph,
+    deltas: Mapping[EdgeKey, int],
+    topology: Optional[GraphTopology] = None,
 ) -> RetimingSolution:
     """Propagate per-edge requirements into the minimal vertex retiming.
 
     ``R(i) = max over out-edges (R(j) + delta(i, j))`` with ``R = 0`` at
     sinks; computed in reverse topological order, this is the unique
     pointwise-minimal legal retiming, hence it minimizes ``R_max``
-    for the given per-edge requirements.
+    for the given per-edge requirements. ``topology`` is the graph's
+    :class:`~repro.graph.taskgraph.GraphTopology` (taken here when
+    omitted), so a width search sorts the graph once.
     """
-    missing = {e.key for e in graph.edges()} - set(deltas)
+    if topology is None:
+        topology = GraphTopology(graph)
+    missing = [key for key, _, _ in topology.edges if key not in deltas]
     if missing:
         raise RetimingError(f"missing deltas for edges: {sorted(missing)[:5]}")
     retiming: Dict[int, int] = {}
-    for op_id in reversed(graph.topological_order()):
+    out_edges = topology.out_edges
+    for op_id in topology.reverse_order:
         best = 0
-        for edge in graph.out_edges(op_id):
-            delta = deltas[edge.key]
+        for key, consumer in out_edges[op_id]:
+            delta = deltas[key]
             if delta < 0:
-                raise RetimingError(f"edge {edge.key}: negative delta {delta}")
-            best = max(best, retiming[edge.consumer] + delta)
+                raise RetimingError(f"edge {key}: negative delta {delta}")
+            reach = retiming[consumer] + delta
+            if reach > best:
+                best = reach
         retiming[op_id] = best
     edge_retiming = {
-        edge.key: retiming[edge.consumer] + deltas[edge.key]
-        for edge in graph.edges()
+        key: retiming[consumer] + deltas[key]
+        for key, _, consumer in topology.edges
     }
     solution = RetimingSolution(
         vertex_retiming=retiming,
@@ -281,11 +356,8 @@ def solve_retiming(
 
 def max_retiming_for_placement(
     graph: TaskGraph,
-    timings: Mapping[Tuple[int, int], EdgeTiming],
-    placement: Mapping[Tuple[int, int], Placement],
+    timings: Mapping[EdgeKey, EdgeTiming],
+    placement: Mapping[EdgeKey, Placement],
 ) -> int:
     """``R_max`` that a concrete placement of every edge induces."""
-    deltas = {
-        key: timing.delta_for(placement[key]) for key, timing in timings.items()
-    }
-    return solve_retiming(graph, deltas).max_retiming
+    return solve_retiming(graph, placement_deltas(timings, placement)).max_retiming

@@ -18,9 +18,9 @@ consumer instance starts. All correctness tests lean on it.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, List, Mapping, Tuple
+from typing import Dict, List, Mapping, Optional, Tuple
 
-from repro.graph.taskgraph import TaskGraph
+from repro.graph.taskgraph import GraphTopology, TaskGraph
 from repro.pim.memory import Placement
 
 
@@ -217,7 +217,9 @@ class PeriodicSchedule:
 
 
 def validate_periodic_schedule(
-    schedule: PeriodicSchedule, check_legality: bool = True
+    schedule: PeriodicSchedule,
+    check_legality: bool = True,
+    topology: Optional[GraphTopology] = None,
 ) -> None:
     """Semantic validation of a retimed periodic schedule.
 
@@ -233,26 +235,30 @@ def validate_periodic_schedule(
 
            finish(i) + c_ij <= delta * p + start(j)
 
-    Raises :class:`ScheduleError` on the first violation.
+    ``topology`` is the graph's :class:`~repro.graph.taskgraph.GraphTopology`
+    (taken here when omitted). Raises :class:`ScheduleError` on the first
+    violation.
     """
-    graph = schedule.graph
     kernel = schedule.kernel
     period = schedule.period
     if period <= 0:
         raise ScheduleError("period must be positive")
-    for op in graph.operations():
-        if op.op_id not in schedule.retiming:
-            raise ScheduleError(f"no retiming value for op {op.op_id}")
-        if schedule.retiming[op.op_id] < 0:
-            raise ScheduleError(f"negative retiming for op {op.op_id}")
-    for edge in graph.edges():
-        key = edge.key
+    if topology is None:
+        topology = GraphTopology(schedule.graph)
+    retiming = schedule.retiming
+    for op_id in topology.op_ids:
+        if op_id not in retiming:
+            raise ScheduleError(f"no retiming value for op {op_id}")
+        if retiming[op_id] < 0:
+            raise ScheduleError(f"negative retiming for op {op_id}")
+    placed = kernel.placements
+    for key, producer, consumer in topology.edges:
         if key not in schedule.placements:
             raise ScheduleError(f"no placement for intermediate result {key}")
         if key not in schedule.transfer_times:
             raise ScheduleError(f"no transfer time for intermediate result {key}")
-        r_i = schedule.retiming[edge.producer]
-        r_j = schedule.retiming[edge.consumer]
+        r_i = retiming[producer]
+        r_j = retiming[consumer]
         delta = r_i - r_j
         if delta < 0:
             raise ScheduleError(
@@ -273,20 +279,18 @@ def validate_periodic_schedule(
                 f"edge {key}: transfer time {c_ij} exceeds period {period} "
                 "(Theorem 3.1 requires c_ij <= p)"
             )
+        arrival = (placed.get(producer) or kernel.placement(producer)).finish + c_ij
+        start = (placed.get(consumer) or kernel.placement(consumer)).start
         # Theorem 3.1 bounds the *required* relative retiming of each pair
         # at 2; the realized R(i) - R(j) may exceed it when other paths
         # push R(i) higher (the data simply waits longer, still legal).
-        required = max(
-            0,
-            -(-(kernel.finish(edge.producer) + c_ij - kernel.start(edge.consumer)) // period),
-        )
+        required = max(0, -(-(arrival - start) // period))
         if required > 2:
             raise ScheduleError(
                 f"edge {key}: required relative retiming {required} exceeds "
                 "the Theorem 3.1 bound of 2"
             )
-        arrival = kernel.finish(edge.producer) + c_ij
-        available = delta * period + kernel.start(edge.consumer)
+        available = delta * period + start
         if arrival > available:
             raise ScheduleError(
                 f"edge {key}: data arrives at offset {arrival} but consumer "

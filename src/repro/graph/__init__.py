@@ -11,6 +11,7 @@ A CNN application is modelled as a weighted directed acyclic graph
 """
 
 from repro.graph.taskgraph import (
+    GraphTopology,
     GraphValidationError,
     IntermediateResult,
     Operation,
@@ -45,6 +46,7 @@ from repro.graph.transforms import coarsen_chains, fuse_stages
 __all__ = [
     "coarsen_chains",
     "fuse_stages",
+    "GraphTopology",
     "GraphValidationError",
     "IntermediateInstance",
     "IntermediateResult",

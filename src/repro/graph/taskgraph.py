@@ -21,6 +21,7 @@ import enum
 import hashlib
 import json
 from dataclasses import dataclass, replace
+from functools import cached_property
 from typing import Dict, Iterable, Iterator, List, Optional, Sequence, Set, Tuple
 
 #: Version tag baked into every task-graph fingerprint; bump when the
@@ -486,6 +487,55 @@ class TaskGraph:
             f"TaskGraph(name={self.name!r}, vertices={self.num_vertices}, "
             f"edges={self.num_edges})"
         )
+
+
+EdgeKey = Tuple[int, int]
+
+
+class GraphTopology:
+    """Read-only view of a graph's structure for repeated walks.
+
+    The compile pipeline walks the same graph once per candidate PE-group
+    width (edge analysis, retiming propagation, the critical-path bound,
+    schedule validation). This view builds each structure once, on first
+    use, as plain tuples and dicts, so those walks stop rebuilding edge
+    lists, key tuples and the topological order. It reflects the graph as
+    it was when each structure was first read; take a new view after
+    editing the graph.
+    """
+
+    def __init__(self, graph: TaskGraph):
+        self._graph = graph
+
+    @cached_property
+    def op_ids(self) -> Tuple[int, ...]:
+        """Operations in insertion order."""
+        return tuple(self._graph._ops)
+
+    @cached_property
+    def edges(self) -> Tuple[Tuple[EdgeKey, int, int], ...]:
+        """``(key, producer, consumer)`` per edge, in insertion order."""
+        return tuple((key, key[0], key[1]) for key in self._graph._edges)
+
+    @cached_property
+    def out_edges(self) -> Dict[int, Tuple[Tuple[EdgeKey, int], ...]]:
+        """``op_id -> ((key, consumer), ...)`` in insertion order."""
+        return {
+            op_id: tuple(((op_id, succ), succ) for succ in successors)
+            for op_id, successors in self._graph._succ.items()
+        }
+
+    @cached_property
+    def execution_time(self) -> Dict[int, int]:
+        """``op_id -> c_i``."""
+        return {
+            op_id: op.execution_time for op_id, op in self._graph._ops.items()
+        }
+
+    @cached_property
+    def reverse_order(self) -> Tuple[int, ...]:
+        """:meth:`TaskGraph.topological_order`, sinks first; raises on cycles."""
+        return tuple(reversed(self._graph.topological_order()))
 
 
 def linear_chain(

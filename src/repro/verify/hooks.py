@@ -143,7 +143,9 @@ def check_schedule_semantics(ctx: CompileContext) -> None:
     """After ``emit-schedule``: the full periodic-schedule validation."""
     from repro.core.schedule import validate_periodic_schedule
 
-    validate_periodic_schedule(ctx.get("schedule"))
+    validate_periodic_schedule(
+        ctx.get("schedule"), topology=ctx.shared_topology()
+    )
 
 
 def compile_invariant_hooks() -> Dict[str, List[Hook]]:
