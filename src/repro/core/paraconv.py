@@ -280,6 +280,7 @@ class ParaConv:
             return cp_memo[period_floor]
 
         best: Optional[ParaConvResult] = None
+        best_ctx: Optional[CompileContext] = None
         best_key = None
         for width in candidate_group_widths(self.config.num_pes):
             num_groups = max(1, self.config.num_pes // width)
@@ -304,12 +305,14 @@ class ParaConv:
             width_started = time.perf_counter()
             ctx = base.fork_for_width(width)
             manager.run(ctx, stats)
-            result = self._assemble(ctx)
+            # The retiming-case census is taken for the winner only.
+            result = self._assemble(ctx, census=False)
             stats.record_width(width, time.perf_counter() - width_started)
             key = (result.total_time(), -width)
             if best_key is None or key < best_key:
-                best, best_key = result, key
-        assert best is not None
+                best, best_ctx, best_key = result, ctx, key
+        assert best is not None and best_ctx is not None
+        best.case_histogram = case_census(best_ctx.get("timings"))
         stats.best_width = best.group_width
         stats.record_search(getattr(best.allocation, "search_stats", None))
         stats.total_seconds = time.perf_counter() - started
@@ -370,14 +373,20 @@ class ParaConv:
     # ------------------------------------------------------------------
     # assembly
     # ------------------------------------------------------------------
-    def _assemble(self, ctx: CompileContext) -> ParaConvResult:
-        """Build the result record from a fully-compiled context."""
+    def _assemble(
+        self, ctx: CompileContext, census: bool = True
+    ) -> ParaConvResult:
+        """Build the result record from a fully-compiled context.
+
+        ``census=False`` leaves ``case_histogram`` empty, for a caller
+        that fills it in only if the result is kept.
+        """
         return ParaConvResult(
             graph=ctx.graph,
             config=ctx.config,
             schedule=ctx.get("schedule"),
             allocation=ctx.get("allocation"),
-            case_histogram=case_census(ctx.get("timings")),
+            case_histogram=case_census(ctx.get("timings")) if census else {},
             group_width=ctx.width,
             num_groups=ctx.num_groups,
         )

@@ -19,6 +19,7 @@ from __future__ import annotations
 
 import enum
 import hashlib
+import heapq
 import json
 from dataclasses import dataclass, replace
 from functools import cached_property
@@ -348,19 +349,16 @@ class TaskGraph:
         keeps every downstream schedule reproducible.
         """
         indeg = {i: len(self._pred[i]) for i in self._ops}
+        # Sorted, so already a min-heap: smallest ready op_id pops first.
         ready = sorted(i for i, d in indeg.items() if d == 0)
         order: List[int] = []
         while ready:
-            node = ready.pop(0)
+            node = heapq.heappop(ready)
             order.append(node)
-            inserted = False
             for succ in self._succ[node]:
                 indeg[succ] -= 1
                 if indeg[succ] == 0:
-                    ready.append(succ)
-                    inserted = True
-            if inserted:
-                ready.sort()
+                    heapq.heappush(ready, succ)
         if len(order) != len(self._ops):
             remaining = {i for i in self._ops if i not in set(order)}
             cycle = self._find_cycle(remaining)

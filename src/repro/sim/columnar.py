@@ -6,28 +6,38 @@ event: ``EventTag`` dataclasses, callback closures, ``ProcessingEngine``
 schedule lookups. This module executes the *same* discrete-event
 semantics on flat data:
 
+* all static facts are **precomputed tables** built once per run from
+  the schedule -- per-op columns (PE, execution time, ALU cost,
+  nominal-start base, in-degree, in-edge indices) and per-edge columns
+  and records (endpoints, size, cache slots, transfer latencies, home
+  vault, consumer PE) -- so the hot loop does list indexing only;
 * the machine is a set of **timeline arrays** -- per-PE busy clocks,
   per-vault service clocks, crossbar port clocks -- advanced in place;
-* all static facts are **precomputed tables** built once per run from
-  the schedule (per-op: PE, execution time, nominal-start offset,
-  in-degree, ALU cost, in-edge keys; per-edge: placement, slots,
-  transfer latencies, home vault, crossbar ports), so the hot loop does
-  list indexing only;
-* events are **plain tuples** ``(time, priority, iteration, op, e0, e1,
-  seq, size)`` on a ``heapq`` -- ordered exactly like the object
-  engine's ``(time, priority, content key, seq)`` tie-break, because the
-  content key *is* ``(iteration, op) + edge`` and every key is unique,
-  so the sequence number never decides between distinct events;
-* per-round work is **vectorized** where it is data-parallel: nominal
-  starts of a materialized round are one array add, boundary canonical
-  forms and the fast-forward splice are array clamps/shifts.
+* events are **plain tuples** ``(time, priority, iteration, x)`` on a
+  ``heapq``, where ``x`` is the op id of a start/produce event and the
+  edge index of an arrival. Edges are numbered consumer-major, so two
+  arrivals at one consumer order by producer id: exactly the object
+  engine's ``(time, priority, content key, seq)`` tie-break, whose
+  content key is ``(iteration, op) + edge`` and unique, so no sequence
+  number is needed;
+* one **fused event loop** (:meth:`ColumnarRun._run_until`) handles all
+  three event kinds inline with every table, timeline and counter bound
+  to a local, and writes the counters back once per call; pFIFO matching
+  is a C-level ``in`` / ``list.remove`` over edge indices;
+* nothing per-instance is stored that the tables derive: an
+  instance's nominal start is ``nominal_base[op] + iteration * p``, and
+  a materialized instance waiting on its inputs is one ``pending`` entry
+  ``[inputs missing, latest arrival]``;
+* boundary canonical forms and the fast-forward splice are clamps and
+  shifts of the timelines.
 
 Bit-identity contract: for every schedule, fault model and sink,
 ``SimMode.COLUMNAR`` produces the same :class:`ExecutionTrace` aggregate
-signature (and the same per-round boundary counters) as
-``SimMode.FULL_UNROLL``, and ``SimMode.COLUMNAR_STEADY`` the same as
-``SimMode.STEADY_STATE`` -- including identical convergence rounds,
-periods and fingerprint digests, because the canonical form mirrors
+signature, the same records in the same order, and the same per-round
+boundary counters as ``SimMode.FULL_UNROLL``, and
+``SimMode.COLUMNAR_STEADY`` the same as ``SimMode.STEADY_STATE`` --
+including identical convergence rounds, periods and fingerprint digests,
+because the canonical form mirrors
 :meth:`repro.sim.state.MachineState.canonical` field for field.
 ``repro.verify --sim`` and the per-round property battery enforce it.
 """
@@ -36,12 +46,13 @@ from __future__ import annotations
 
 import hashlib
 from heapq import heappop, heappush
+from operator import attrgetter
 from typing import Dict, List, Optional, Tuple
 
 from repro.core.paraconv import ParaConvResult
-from repro.core.profit import require_numpy_floor
 from repro.pim.config import PimConfig
 from repro.pim.faults import FAULT_UNIT_PE, FAULT_UNIT_VAULT, FaultModel
+from repro.pim.memory import Placement
 from repro.pim.stats import TrafficStats
 from repro.sim.engine import SimulationError
 from repro.sim.executor import (
@@ -57,8 +68,6 @@ from repro.sim.modes import SimMode
 from repro.sim.sinks import FastForwardNotice, NullSink, TraceSink
 from repro.sim.trace import InstanceRecord, TransferKind, TransferRecord
 
-np = require_numpy_floor(__name__)
-
 __all__ = ["ColumnarRun"]
 
 #: pFIFO depth of the modelled PE (see ``repro.pim.pe.ProcessingEngine``).
@@ -68,6 +77,14 @@ _FIFO_DEPTH = 16
 _KIND_OF_PRIO = {
     _PRIO_ARRIVE: "arrive", _PRIO_START: "start", _PRIO_PRODUCE: "produce",
 }
+
+
+def _clamped(clocks: List[int], reference_time: int) -> Tuple[int, ...]:
+    """Clocks relative to ``reference_time``; idle ones clamp to 0."""
+    return tuple(
+        clock - reference_time if clock > reference_time else 0
+        for clock in clocks
+    )
 
 
 class ColumnarRun:
@@ -111,71 +128,94 @@ class ColumnarRun:
         schedule = result.schedule
         graph = result.graph
         kernel = schedule.kernel
-        self.period = schedule.period
-        self.r_max = schedule.max_retiming
+        period = self.period = schedule.period
+        r_max = self.r_max = schedule.max_retiming
         width = result.group_width
-        self.num_vaults = num_vaults
-        self.graph = graph
 
         # ---- static per-op tables (index = op_id) ---------------------
-        ops = list(graph.operations())
-        size = max(op.op_id for op in ops) + 1 if ops else 0
-        self._op_order: List[int] = [op.op_id for op in ops]
-        self._pe_of: List[int] = [0] * size
-        self._exec: List[int] = [0] * size
-        self._alu: List[int] = [0] * size
-        self._in_deg: List[int] = [0] * size
-        self._in_keys: List[List[Tuple[int, int]]] = [[] for _ in range(size)]
-        static_off = [0] * size
+        ops = graph.operations()
+        self._ops_per_iteration = len(ops)
+        span = self._op_span = max(op.op_id for op in ops) + 1 if ops else 0
+        pe_of = self._pe_of = [0] * span
+        self._exec: List[int] = [0] * span
+        self._alu: List[int] = [0] * span
+        #: nominal start of (op, it) = nominal_base[op] + it * p.
+        self._nominal_base: List[int] = [0] * span
+        in_deg = self._in_deg = [0] * span
         for op in ops:
             op_id = op.op_id
-            self._pe_of[op_id] = kernel.pe_of(op_id)
+            pe_of[op_id] = kernel.pe_of(op_id)
             self._exec[op_id] = op.execution_time
             self._alu[op_id] = max(op.work, op.execution_time)
-            self._in_deg[op_id] = graph.in_degree(op_id)
-            self._in_keys[op_id] = [e.key for e in graph.in_edges(op_id)]
-            # nominal(op, it) = (it - 1) * p + static_off[op]: the whole
-            # round's nominal starts become one vectorized array add.
-            static_off[op_id] = (
-                self.r_max - schedule.retiming[op_id]
-            ) * self.period + kernel.start(op_id)
-        self._static_off = np.asarray(static_off, dtype=np.int64)
+            in_deg[op_id] = graph.in_degree(op_id)
+            # (it - 1) * p + (R_max - R(op)) * p + s_op
+            self._nominal_base[op_id] = (
+                r_max - schedule.retiming[op_id] - 1
+            ) * period + kernel.start(op_id)
+        self._sources = [op.op_id for op in ops if not in_deg[op.op_id]]
+        self._inner = [op.op_id for op in ops if in_deg[op.op_id]]
+        self._pes = {pe_of[op.op_id] for op in ops}
 
-        # ---- static per-edge tables (keyed off the producing op) ------
+        # ---- static per-edge tables (index = consumer-major edge) -----
+        edges = sorted(graph.edges(), key=attrgetter("consumer", "producer"))
+        self._edge_span = len(edges)
+        self._producer = [edge.producer for edge in edges]
+        self._consumer = [edge.consumer for edge in edges]
+        self._size = [edge.size_bytes for edge in edges]
         # Vault service granularity mirrors MemorySystem.__post_init__.
         effective = max(
             1, config.cache_bytes_per_unit // config.edram_latency_factor
         )
-        from repro.pim.memory import Placement
-
-        self._edge_size: Dict[Tuple[int, int], int] = {}
-        #: out_recs[op] = [(consumer, e0, e1, size, is_cache, slots,
-        #:   cache_units, edram_units, service, vault, port_busy,
-        #:   consumer_pe), ...] in graph.out_edges() order.
-        self._out_recs: List[List[tuple]] = [[] for _ in range(size)]
+        placements = schedule.placements
+        index: Dict[Tuple[int, int], int] = {}
+        # One record per edge: (edge, consumer_pe, size, cache slots (0
+        # if eDRAM-placed), cache units (also the crossbar port
+        # occupancy of an eDRAM fetch), vault service, extra wire
+        # latency, vault).
+        records: List[tuple] = []
+        for edge_index, edge in enumerate(edges):
+            key = (edge.producer, edge.consumer)
+            index[key] = edge_index
+            size_bytes = edge.size_bytes
+            service = max(1, size_bytes // effective)
+            extra = config.edram_transfer_units(size_bytes) - service
+            records.append((
+                edge_index,
+                pe_of[edge.consumer],
+                size_bytes,
+                config.slots_required(size_bytes)
+                if placements[key] is Placement.CACHE
+                else 0,
+                config.cache_transfer_units(size_bytes),
+                service,
+                extra if extra > 0 else 0,
+                hash(key) % num_vaults,
+            ))
+        # A consumer's in-edges are contiguous; their order is free (each
+        # touches its own FIFO entry and cache line). Out-edges keep
+        # graph.out_edges() order: it decides contention.
+        empty: Tuple[int, ...] = ()
+        self._in_edges: List[Tuple[int, ...]] = [empty] * span
+        self._in_cache: List[Tuple[int, ...]] = [empty] * span
+        self._out_recs: List[Tuple[tuple, ...]] = [empty] * span
+        first = 0
+        for op_id in sorted(self._inner):
+            last = first + in_deg[op_id]
+            self._in_edges[op_id] = tuple(range(first, last))
+            self._in_cache[op_id] = tuple(
+                i for i in range(first, last) if records[i][3]
+            )
+            first = last
         for op in ops:
-            for edge in graph.out_edges(op.op_id):
-                e0, e1 = edge.key
-                size_bytes = edge.size_bytes
-                self._edge_size[edge.key] = size_bytes
-                self._out_recs[op.op_id].append((
-                    edge.consumer,
-                    e0,
-                    e1,
-                    size_bytes,
-                    schedule.placements[edge.key] is Placement.CACHE,
-                    config.slots_required(size_bytes),
-                    config.cache_transfer_units(size_bytes),
-                    config.edram_transfer_units(size_bytes),
-                    max(1, size_bytes // effective),
-                    hash(edge.key) % num_vaults,
-                    config.cache_transfer_units(size_bytes),
-                    kernel.pe_of(edge.consumer),
-                ))
+            self._out_recs[op.op_id] = tuple(
+                records[index[(op.op_id, consumer)]]
+                for consumer in graph.successors(op.op_id)
+            )
 
         # ---- timeline arrays + dynamic state --------------------------
         self._pe_free: List[int] = [0] * width
-        self._fifo: List[List[tuple]] = [[] for _ in range(width)]
+        #: per-PE pFIFO of staged edge indices, oldest first.
+        self._fifo: List[List[int]] = [[] for _ in range(width)]
         self._vault_free: List[int] = [0] * num_vaults
         self._xin: List[int] = [0] * width
         self._xout: List[int] = [0] * num_vaults
@@ -185,12 +225,12 @@ class ColumnarRun:
             config.total_cache_slots // result.num_groups, 0
         )
         self._cache_used = 0
-        self._cache_live: Dict[Tuple[int, int, int], int] = {}
-        self._pending: Dict[Tuple[int, int], int] = {}
-        self._max_avail: Dict[Tuple[int, int], int] = {}
-        self._nominal: Dict[Tuple[int, int], int] = {}
+        #: ``iteration * edge_span + edge`` -> slots held in the cache.
+        self._cache_live: Dict[int, int] = {}
+        #: ``iteration * op_span + op`` -> ``[inputs missing, latest
+        #: arrival]`` for each materialized instance still waiting.
+        self._pending: Dict[int, List[int]] = {}
         self._heap: List[tuple] = []
-        self._seq = 0
         self._now = 0
         self._processed = 0
         self._events_skipped = 0
@@ -213,187 +253,221 @@ class ColumnarRun:
         self._emit = not isinstance(sink, NullSink)
 
     # ------------------------------------------------------------------
-    # event handlers (tuple-dispatched; no tags, no closures)
+    # events
     # ------------------------------------------------------------------
     def _materialize(self, iteration: int) -> None:
-        """One logical iteration's bookkeeping; nominal row vectorized."""
-        offs = (self._static_off + (iteration - 1) * self.period).tolist()
+        """One logical iteration: queue its sources, await the rest."""
         heap = self._heap
-        nominal = self._nominal
+        shift = iteration * self.period
+        nominal_base = self._nominal_base
+        for op_id in self._sources:
+            heappush(
+                heap, (nominal_base[op_id] + shift, _PRIO_START, iteration, op_id)
+            )
+        base = iteration * self._op_span
         pending = self._pending
-        max_avail = self._max_avail
         in_deg = self._in_deg
-        for op_id in self._op_order:
-            key = (op_id, iteration)
-            nominal[key] = offs[op_id]
-            degree = in_deg[op_id]
-            if degree == 0:
-                heappush(heap, (
-                    offs[op_id], _PRIO_START, iteration, op_id, -1, -1,
-                    self._seq, 0,
-                ))
-                self._seq += 1
-            else:
-                pending[key] = degree
-                max_avail[key] = 0
-
-    def _arrive(self, iteration, op_id, e0, e1, size) -> None:
-        key = (op_id, iteration)
-        now = self._now
-        max_avail = self._max_avail
-        if now > max_avail[key]:
-            max_avail[key] = now
-        pending = self._pending
-        pending[key] -= 1
-        fifo = self._fifo[self._pe_of[op_id]]
-        if len(fifo) < _FIFO_DEPTH:
-            fifo.append(((e0, e1), size))
-            self.trace.stats.fifo_pushes += 1
-        if pending[key] == 0:
-            start_at = self._nominal[key]
-            avail = max_avail[key]
-            if avail > start_at:
-                start_at = avail  # avail already >= now
-            del pending[key]
-            del max_avail[key]
-            heappush(self._heap, (
-                start_at, _PRIO_START, iteration, op_id, -1, -1,
-                self._seq, 0,
-            ))
-            self._seq += 1
-
-    def _start(self, iteration, op_id) -> None:
-        pe_id = self._pe_of[op_id]
-        if pe_id in self._failed_pes:
-            self._raise_fault(FAULT_UNIT_PE, pe_id)
-        trace = self.trace
-        in_keys = self._in_keys[op_id]
-        fifo = self._fifo[pe_id]
-        for edge_key in in_keys:  # pop_matching: oldest entry per edge
-            for index, entry in enumerate(fifo):
-                if entry[0] == edge_key:
-                    del fifo[index]
-                    break
-        now = self._now
-        start = self._pe_free[pe_id]
-        if now > start:
-            start = now
-        duration = self._exec[op_id]
-        finish = start + duration
-        self._pe_free[pe_id] = finish
-        nominal = self._nominal.pop((op_id, iteration))
-        if self._emit:
-            trace.sink.record_instance(InstanceRecord(
-                op_id=op_id, iteration=iteration, pe=pe_id,
-                nominal_start=nominal, start=start, finish=finish,
-            ))
-        trace.num_instances += 1
-        trace.busy_units += duration
-        lateness = start - nominal
-        trace.lateness_total += lateness
-        if lateness > trace.lateness_max:
-            trace.lateness_max = lateness
-        trace.pes_used.add(pe_id)
-        trace.stats.alu_ops += self._alu[op_id]
-        if finish > self._max_finish:
-            self._max_finish = finish
-        cache_live = self._cache_live
-        for e0, e1 in in_keys:  # consume: free cache slots of in-edges
-            slots = cache_live.pop((e0, e1, iteration), None)
-            if slots is not None:
-                self._cache_used -= slots
-        heappush(self._heap, (
-            finish, _PRIO_PRODUCE, iteration, op_id, -1, -1, self._seq, 0,
-        ))
-        self._seq += 1
-
-    def _produce(self, iteration, op_id) -> None:
-        trace = self.trace
-        mem = self._mem_stats
-        finish = self._now
-        for (consumer, e0, e1, size, is_cache, slots, cache_units,
-             edram_units, service, vault, port_busy,
-             consumer_pe) in self._out_recs[op_id]:
-            if is_cache:
-                used = self._cache_used + slots
-                if used <= self._cache_cap:
-                    self._cache_live[(e0, e1, iteration)] = slots
-                    self._cache_used = used
-                    if used > trace.cache_peak_slots:
-                        trace.cache_peak_slots = used
-                    mem.cache_accesses += 1
-                    mem.cache_bytes += size
-                    arrival = finish + cache_units
-                    if self._emit:
-                        trace.sink.record_transfer(TransferRecord(
-                            (e0, e1), iteration, TransferKind.CACHE,
-                            size, finish, arrival,
-                        ))
-                    trace.num_transfers += 1
-                    heappush(self._heap, (
-                        arrival, _PRIO_ARRIVE, iteration, consumer,
-                        e0, e1, self._seq, size,
-                    ))
-                    self._seq += 1
-                    continue
-                trace.cache_spills += 1  # transient overflow: spill
-            if vault in self._failed_vaults:
-                self._raise_fault(FAULT_UNIT_VAULT, vault)
-            # Crossbar: consumer-side fetch holds both ports for the
-            # bandwidth share; vault queues the access; the remaining
-            # wire latency rides on top (executor._edram_roundtrip).
-            issued = finish
-            if self._xin[consumer_pe] > issued:
-                issued = self._xin[consumer_pe]
-            if self._xout[vault] > issued:
-                issued = self._xout[vault]
-            port_finish = issued + port_busy
-            self._xin[consumer_pe] = port_finish
-            self._xout[vault] = port_finish
-            read_start = issued
-            if self._vault_free[vault] > read_start:
-                read_start = self._vault_free[vault]
-            serviced = read_start + service
-            self._vault_free[vault] = serviced
-            extra = edram_units - service
-            arrival = serviced + (extra if extra > 0 else 0)
-            mem.edram_accesses += 1
-            mem.edram_bytes += size
-            if self._emit:
-                trace.sink.record_transfer(TransferRecord(
-                    (e0, e1), iteration, TransferKind.EDRAM,
-                    size, finish, arrival,
-                ))
-            trace.num_transfers += 1
-            heappush(self._heap, (
-                arrival, _PRIO_ARRIVE, iteration, consumer, e0, e1,
-                self._seq, size,
-            ))
-            self._seq += 1
+        for op_id in self._inner:
+            pending[base + op_id] = [in_deg[op_id], 0]
 
     def _run_until(self, until: int) -> None:
+        """Process every event at or before ``until``: the fused loop.
+
+        All three event kinds are handled inline. Counters live in
+        locals and are written back in the ``finally``, so a round
+        boundary and a :class:`PeFaultError` both see exact state.
+        """
         heap = self._heap
-        while heap and heap[0][0] <= until:
-            time, prio, iteration, op_id, e0, e1, _seq, size = heappop(heap)
-            self._now = time
-            self._processed += 1
-            if prio == _PRIO_START:
-                self._start(iteration, op_id)
-            elif prio == _PRIO_ARRIVE:
-                self._arrive(iteration, op_id, e0, e1, size)
-            else:
-                self._produce(iteration, op_id)
+        if not heap or heap[0][0] > until:
+            return
+        pe_of = self._pe_of
+        exec_time = self._exec
+        alu = self._alu
+        nominal_base = self._nominal_base
+        in_edges = self._in_edges
+        in_cache = self._in_cache
+        out_recs = self._out_recs
+        consumer = self._consumer
+        op_span = self._op_span
+        edge_span = self._edge_span
+        period = self.period
+        cache_cap = self._cache_cap
+        fifos = self._fifo
+        pe_free = self._pe_free
+        vault_free = self._vault_free
+        xin = self._xin
+        xout = self._xout
+        cache_live = self._cache_live
+        pending = self._pending
+        failed_pes = self._failed_pes
+        failed_vaults = self._failed_vaults
+        emit = self._emit
+        trace = self.trace
+        sink = trace.sink
+        stats = trace.stats
+        mem = self._mem_stats
+
+        now = self._now
+        processed = self._processed
+        cache_used = self._cache_used
+        max_finish = self._max_finish
+        num_instances = trace.num_instances
+        num_transfers = trace.num_transfers
+        busy_units = trace.busy_units
+        lateness_total = trace.lateness_total
+        lateness_max = trace.lateness_max
+        cache_peak = trace.cache_peak_slots
+        cache_spills = trace.cache_spills
+        fifo_pushes = stats.fifo_pushes
+        alu_ops = stats.alu_ops
+        cache_accesses = mem.cache_accesses
+        cache_bytes = mem.cache_bytes
+        edram_accesses = mem.edram_accesses
+        edram_bytes = mem.edram_bytes
+        try:
+            while heap and heap[0][0] <= until:
+                now, prio, iteration, x = heappop(heap)
+                processed += 1
+                if prio == _PRIO_ARRIVE:
+                    # x = edge index: one input of (consumer, iteration).
+                    op_id = consumer[x]
+                    key = iteration * op_span + op_id
+                    waiting = pending[key]
+                    if now > waiting[1]:
+                        waiting[1] = now
+                    fifo = fifos[pe_of[op_id]]
+                    if len(fifo) < _FIFO_DEPTH:
+                        fifo.append(x)
+                        fifo_pushes += 1
+                    if waiting[0] == 1:
+                        del pending[key]
+                        start_at = nominal_base[op_id] + iteration * period
+                        if waiting[1] > start_at:
+                            start_at = waiting[1]  # already >= now
+                        heappush(heap, (start_at, _PRIO_START, iteration, op_id))
+                    else:
+                        waiting[0] -= 1
+                elif prio == _PRIO_START:
+                    pe_id = pe_of[x]
+                    if pe_id in failed_pes:
+                        self._raise_fault(FAULT_UNIT_PE, pe_id, now)
+                    fifo = fifos[pe_id]
+                    if fifo:  # pop_matching: the oldest entry per edge
+                        for edge in in_edges[x]:
+                            if edge in fifo:
+                                fifo.remove(edge)
+                    start = pe_free[pe_id]
+                    if now > start:
+                        start = now
+                    duration = exec_time[x]
+                    finish = start + duration
+                    pe_free[pe_id] = finish
+                    nominal = nominal_base[x] + iteration * period
+                    if emit:
+                        sink.record_instance(InstanceRecord(
+                            op_id=x, iteration=iteration, pe=pe_id,
+                            nominal_start=nominal, start=start, finish=finish,
+                        ))
+                    num_instances += 1
+                    busy_units += duration
+                    lateness = start - nominal
+                    lateness_total += lateness
+                    if lateness > lateness_max:
+                        lateness_max = lateness
+                    alu_ops += alu[x]
+                    if finish > max_finish:
+                        max_finish = finish
+                    consumed = in_cache[x]
+                    if consumed:  # free the cache slots of in-edges
+                        base = iteration * edge_span
+                        for edge in consumed:
+                            slots = cache_live.pop(base + edge, None)
+                            if slots is not None:
+                                cache_used -= slots
+                    heappush(heap, (finish, _PRIO_PRODUCE, iteration, x))
+                else:
+                    base = iteration * edge_span
+                    for (edge, port, size, slots, units, service, extra,
+                         vault) in out_recs[x]:
+                        if slots:  # cache-placed
+                            used = cache_used + slots
+                            if used <= cache_cap:
+                                cache_live[base + edge] = slots
+                                cache_used = used
+                                if used > cache_peak:
+                                    cache_peak = used
+                                cache_accesses += 1
+                                cache_bytes += size
+                                arrival = now + units
+                                if emit:
+                                    sink.record_transfer(TransferRecord(
+                                        (x, consumer[edge]), iteration,
+                                        TransferKind.CACHE, size, now,
+                                        arrival,
+                                    ))
+                                num_transfers += 1
+                                heappush(
+                                    heap, (arrival, _PRIO_ARRIVE, iteration, edge)
+                                )
+                                continue
+                            cache_spills += 1  # transient overflow: spill
+                        if vault in failed_vaults:
+                            self._raise_fault(FAULT_UNIT_VAULT, vault, now)
+                        # Crossbar: the consumer-side fetch holds both
+                        # ports for the bandwidth share; the vault queues
+                        # the access; the remaining wire latency rides on
+                        # top (executor._edram_roundtrip).
+                        issued = now
+                        if xin[port] > issued:
+                            issued = xin[port]
+                        if xout[vault] > issued:
+                            issued = xout[vault]
+                        port_finish = issued + units
+                        xin[port] = port_finish
+                        xout[vault] = port_finish
+                        if vault_free[vault] > issued:
+                            issued = vault_free[vault]
+                        serviced = issued + service
+                        vault_free[vault] = serviced
+                        arrival = serviced + extra
+                        edram_accesses += 1
+                        edram_bytes += size
+                        if emit:
+                            sink.record_transfer(TransferRecord(
+                                (x, consumer[edge]), iteration,
+                                TransferKind.EDRAM, size, now, arrival,
+                            ))
+                        num_transfers += 1
+                        heappush(heap, (arrival, _PRIO_ARRIVE, iteration, edge))
+        finally:
+            self._now = now
+            self._processed = processed
+            self._cache_used = cache_used
+            self._max_finish = max_finish
+            trace.num_instances = num_instances
+            trace.num_transfers = num_transfers
+            trace.busy_units = busy_units
+            trace.lateness_total = lateness_total
+            trace.lateness_max = lateness_max
+            trace.cache_peak_slots = cache_peak
+            trace.cache_spills = cache_spills
+            stats.fifo_pushes = fifo_pushes
+            stats.alu_ops = alu_ops
+            mem.cache_accesses = cache_accesses
+            mem.cache_bytes = cache_bytes
+            mem.edram_accesses = edram_accesses
+            mem.edram_bytes = edram_bytes
 
     # ------------------------------------------------------------------
     # faults
     # ------------------------------------------------------------------
-    def _raise_fault(self, unit: str, unit_id: int) -> None:
+    def _raise_fault(self, unit: str, unit_id: int, time: int) -> None:
         assert self.fault_model is not None
         raise PeFaultError(
             unit,
             unit_id,
             round=self._current_round,
-            time=self._now,
+            time=time,
             fault_iteration=self.fault_model.fault_iteration_of(unit, unit_id),
         )
 
@@ -424,66 +498,71 @@ class ColumnarRun:
     def _canonical(self, reference_time: int, reference_iteration: int):
         """Boundary-relative state; mirrors ``MachineState.canonical``.
 
-        Clamps are array ops over the timelines; the resulting tuple is
-        structurally identical to the object engine's (same fields, same
-        clamping, same sort keys), so the two engines converge at the
-        same boundary with the same fingerprint digest.
+        Edge indices and the derived nominal starts are expanded back to
+        the object engine's keys, so the tuple is structurally identical
+        to its (same fields, same clamping, same sort keys) and the two
+        engines converge at the same boundary with the same fingerprint
+        digest.
         """
         t = reference_time
         r = reference_iteration
-        pe_clamped = np.maximum(
-            np.asarray(self._pe_free, dtype=np.int64) - t, 0
-        ).tolist()
+        producer = self._producer
+        consumer = self._consumer
+        size = self._size
+        nominal_base = self._nominal_base
+        period = self.period
         pe_state = tuple(
-            (free, tuple(fifo))
-            for free, fifo in zip(pe_clamped, self._fifo)
+            (free, tuple(
+                ((producer[edge], consumer[edge]), size[edge]) for edge in fifo
+            ))
+            for free, fifo in zip(_clamped(self._pe_free, t), self._fifo)
         )
-        vault_state = tuple(np.maximum(
-            np.asarray(self._vault_free, dtype=np.int64) - t, 0
-        ).tolist())
-        crossbar_state = (
-            tuple(np.maximum(
-                np.asarray(self._xin, dtype=np.int64) - t, 0
-            ).tolist()),
-            tuple(np.maximum(
-                np.asarray(self._xout, dtype=np.int64) - t, 0
-            ).tolist()),
-        )
-        cache_state = tuple(sorted(
-            ((e0, e1), iteration - r, slots)
-            for (e0, e1, iteration), slots in self._cache_live.items()
-        ))
-        pending_state = tuple(sorted(
-            (op_id, iteration - r, count,
-             max(self._max_avail[(op_id, iteration)] - t, 0))
-            for (op_id, iteration), count in self._pending.items()
-        ))
-        nominal_state = tuple(sorted(
-            (op_id, iteration - r, start - t)
-            for (op_id, iteration), start in self._nominal.items()
-        ))
-        event_state = tuple(
-            (
-                time - t,
-                prio,
-                _KIND_OF_PRIO[prio],
-                op_id,
-                iteration - r,
-                (e0, e1),
-                size,
+        vault_state = _clamped(self._vault_free, t)
+        crossbar_state = (_clamped(self._xin, t), _clamped(self._xout, t))
+        cache_state = []
+        for key, slots in self._cache_live.items():
+            iteration, edge = divmod(key, self._edge_span)
+            cache_state.append(
+                ((producer[edge], consumer[edge]), iteration - r, slots)
             )
-            for (time, prio, iteration, op_id, e0, e1, _seq, size)
-            in sorted(self._heap)
-        )
+        pending_state = []
+        nominal_state = []
+        for key, (count, latest) in self._pending.items():
+            iteration, op_id = divmod(key, self._op_span)
+            pending_state.append(
+                (op_id, iteration - r, count, max(latest - t, 0))
+            )
+            nominal_state.append((
+                op_id, iteration - r,
+                nominal_base[op_id] + iteration * period - t,
+            ))
+        event_state = []
+        for time, prio, iteration, x in sorted(self._heap):
+            if prio == _PRIO_ARRIVE:
+                op_id = consumer[x]
+                edge, nbytes = (producer[x], op_id), size[x]
+            else:
+                op_id, edge, nbytes = x, (-1, -1), 0
+                if prio == _PRIO_START:
+                    # A queued start is a materialized, unstarted
+                    # instance: it still holds its nominal start.
+                    nominal_state.append((
+                        x, iteration - r,
+                        nominal_base[x] + iteration * period - t,
+                    ))
+            event_state.append((
+                time - t, prio, _KIND_OF_PRIO[prio], op_id, iteration - r,
+                edge, nbytes,
+            ))
         return (
             pe_state,
             vault_state,
             crossbar_state,
             self._cache_used,
-            cache_state,
-            pending_state,
-            nominal_state,
-            event_state,
+            tuple(sorted(cache_state)),
+            tuple(sorted(pending_state)),
+            tuple(sorted(nominal_state)),
+            tuple(event_state),
         )
 
     def _fingerprint(self, reference_time: int, reference_iteration: int) -> str:
@@ -529,50 +608,28 @@ class ColumnarRun:
             boundary_round * self.period, boundary_round
         )
 
-        # 2. Timestamp splice: one array add per timeline; iteration
-        # labels of live bookkeeping rebuilt with the round shift.
-        self._pe_free = (
-            np.asarray(self._pe_free, dtype=np.int64) + time_shift
-        ).tolist()
-        self._vault_free = (
-            np.asarray(self._vault_free, dtype=np.int64) + time_shift
-        ).tolist()
-        self._xin = (
-            np.asarray(self._xin, dtype=np.int64) + time_shift
-        ).tolist()
-        self._xout = (
-            np.asarray(self._xout, dtype=np.int64) + time_shift
-        ).tolist()
+        # 2. Timestamp splice: every timeline shifts; iteration labels
+        # of live bookkeeping rebuilt with the round shift.
+        self._pe_free = [clock + time_shift for clock in self._pe_free]
+        self._vault_free = [clock + time_shift for clock in self._vault_free]
+        self._xin = [clock + time_shift for clock in self._xin]
+        self._xout = [clock + time_shift for clock in self._xout]
+        cache_shift = rounds * self._edge_span
         self._cache_live = {
-            (e0, e1, iteration + rounds): slots
-            for (e0, e1, iteration), slots in self._cache_live.items()
+            key + cache_shift: slots
+            for key, slots in self._cache_live.items()
         }
+        pending_shift = rounds * self._op_span
         self._pending = {
-            (op_id, iteration + rounds): count
-            for (op_id, iteration), count in self._pending.items()
+            key + pending_shift: [count, latest + time_shift]
+            for key, (count, latest) in self._pending.items()
         }
-        self._max_avail = {
-            (op_id, iteration + rounds): when + time_shift
-            for (op_id, iteration), when in self._max_avail.items()
-        }
-        self._nominal = {
-            (op_id, iteration + rounds): start + time_shift
-            for (op_id, iteration), start in self._nominal.items()
-        }
-        # In-flight events: shifted in processing order with fresh seqs
-        # (a sorted list already satisfies the heap invariant).
-        shifted: List[tuple] = []
-        seq = 0
-        for (time, prio, iteration, op_id, e0, e1, _seq, size) in sorted(
-            self._heap
-        ):
-            shifted.append((
-                time + time_shift, prio, iteration + rounds, op_id,
-                e0, e1, seq, size,
-            ))
-            seq += 1
-        self._heap = shifted
-        self._seq = seq
+        # In-flight events: shifted in processing order (a sorted list
+        # already satisfies the heap invariant).
+        self._heap = [
+            (time + time_shift, prio, iteration + rounds, x)
+            for time, prio, iteration, x in sorted(self._heap)
+        ]
         self._next_iteration += rounds
 
         # 3. Bookkeeping for observability and the sink.
@@ -683,12 +740,15 @@ class ColumnarRun:
                     )
 
         executed = trace.num_instances
-        expected = self.graph.num_vertices * n
+        expected = self._ops_per_iteration * n
         if executed != expected:
             raise SimulationError(
                 f"executed {executed} instances, expected {expected}; "
                 "dependency deadlock in the schedule"
             )
+        # Every op ran at least once (N >= 1), so the PEs used are the
+        # plan's PEs.
+        trace.pes_used.update(self._pes)
         trace.realized_makespan = self._max_finish
         trace.stats = trace.stats.merged_with(self._mem_stats)
         trace.events_processed = self._processed + self._events_skipped

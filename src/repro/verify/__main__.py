@@ -8,6 +8,7 @@ Usage::
     python -m repro.verify --strict-liveness     # escalate liveness warnings
     python -m repro.verify --no-oracle --no-mutations
     python -m repro.verify --sim --sim-iterations 1 20 1000  # engine check
+    python -m repro.verify --sim --pes 16 --vaults 8    # at a fleet shard's shape
     python -m repro.verify --faults                     # failover differential
     python -m repro.verify --fleet                      # fleet differential
     python -m repro.verify --search                     # search-allocator battery
@@ -126,6 +127,9 @@ def build_parser() -> argparse.ArgumentParser:
                         metavar="N", default=None,
                         help="batch sizes for the --sim stage "
                              "(default: 1 20 1000)")
+    parser.add_argument("--vaults", type=positive_int, default=32,
+                        help="eDRAM vault count the --sim stage simulates "
+                             "(default 32; a fleet shard of 16 PEs has 8)")
     parser.add_argument("--search", action="store_true",
                         help="differentially verify the search allocators: "
                              "oracle equality on enumerable instances, the "
@@ -206,6 +210,7 @@ def main(argv: Optional[List[str]] = None) -> int:
         fault_seed=args.seed,
         with_simulation=args.sim,
         sim_iterations=args.sim_iterations,
+        sim_vaults=args.vaults,
         with_failover=args.faults,
         failover_unit=args.fault_unit,
         failover_unit_id=args.fault_unit_id,

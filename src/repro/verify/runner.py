@@ -194,6 +194,7 @@ def verify_workload(
     fault_seed: int = 0,
     with_simulation: bool = False,
     sim_iterations: Optional[List[int]] = None,
+    sim_vaults: int = 32,
     with_failover: bool = False,
     failover_unit: str = "pe",
     failover_unit_id: int = 0,
@@ -245,7 +246,8 @@ def verify_workload(
         )
         for name, plan in plans.items():
             outcome.simulation[name] = sim_differential_battery(
-                plan, config=config, iteration_counts=counts
+                plan, config=config, iteration_counts=counts,
+                num_vaults=sim_vaults,
             )
 
     if with_differential:
@@ -293,6 +295,7 @@ def run_verification_sweep(
     fault_seed: int = 0,
     with_simulation: bool = False,
     sim_iterations: Optional[List[int]] = None,
+    sim_vaults: int = 32,
     with_failover: bool = False,
     failover_unit: str = "pe",
     failover_unit_id: int = 0,
@@ -328,6 +331,7 @@ def run_verification_sweep(
                 fault_seed=fault_seed,
                 with_simulation=with_simulation,
                 sim_iterations=sim_iterations,
+                sim_vaults=sim_vaults,
                 with_failover=with_failover,
                 failover_unit=failover_unit,
                 failover_unit_id=failover_unit_id,
